@@ -76,6 +76,7 @@ from .treewidth import (
     minor_min_width,
     treewidth_decide,
     treewidth_exact,
+    treewidth_order,
     verify_tree_decomposition,
 )
 from .witness import (

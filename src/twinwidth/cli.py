@@ -11,6 +11,7 @@ import sys
 
 from . import io as formats
 from .graphs import grid_graph
+from .partitions import quotient
 from .pipeline import PipelineResult, WidthBoundMissed, pipeline_certify
 from .sequences import SequenceError, apply_prefix, invert, width_trace
 from .solver import DEFAULT_BUDGET, decide_twinwidth_at_most, greedy_sequence, twinwidth_exact, twinwidth_zero
@@ -18,6 +19,7 @@ from .structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_
 from .treewidth import BudgetExceeded, treewidth_exact
 from .witness import (
     MeshWitness,
+    WitnessState,
     WitnessViolation,
     audit_sequence,
     black_edge_violations,
@@ -94,7 +96,7 @@ def main_tww(argv=None) -> int:
             if args.format == "json":
                 payload = {"answer": r.status, "d": args.d, "expanded": r.expanded}
                 if r.sequence:
-                    payload["steps"] = [{"u": u, "v": v} for u, v in r.sequence.pairs()]
+                    payload["steps"] = formats.steps_payload(r.sequence)
                 print(json.dumps(payload, sort_keys=True))
             else:
                 print(f"decide d={args.d}: {r.status}")
@@ -106,7 +108,7 @@ def main_tww(argv=None) -> int:
             if args.format == "json":
                 payload = {"answer": r.status, "cap": args.cap, "tww": r.value}
                 if r.sequence:
-                    payload["steps"] = [{"u": u, "v": v} for u, v in r.sequence.pairs()]
+                    payload["steps"] = formats.steps_payload(r.sequence)
                 print(json.dumps(payload, sort_keys=True))
             else:
                 if r.status == "value":
@@ -135,7 +137,7 @@ def main_tww(argv=None) -> int:
         if args.cmd == "greedy":
             s, width = greedy_sequence(g)
             if args.format == "json":
-                payload = {"steps": [{"u": u, "v": v} for u, v in s.pairs()], "width": width}
+                payload = {"steps": formats.steps_payload(s), "width": width}
                 print(json.dumps(payload, sort_keys=True))
             else:
                 print(f"width: {width}")
@@ -248,8 +250,6 @@ def main_lab(argv=None) -> int:
     try:
         g = _graph(args.graph)
         if args.cmd == "obs31":
-            from .partitions import quotient
-
             p = formats.read_partition(_read(args.partition), g.n)
             bad = black_edge_violations(quotient(g, p), args.t)
             print(f"violations: {len(bad)}")
@@ -257,8 +257,6 @@ def main_lab(argv=None) -> int:
                 print(f"black edge between big parts {a} and {b}")
             return 0
         if args.cmd == "witness":
-            from .partitions import quotient
-
             p = formats.read_partition(_read(args.partition), g.n)
             x1, x2, x3, x4 = _parts_arg(args.parts)
             try:
@@ -272,8 +270,6 @@ def main_lab(argv=None) -> int:
             s = formats.sequence_from_json(_read(args.sequence))
             u = invert(g, s)
             x1, x2, x3, x4 = _parts_arg(args.parts)
-            from .witness import WitnessState
-
             w0 = WitnessState(args.witness_at, x1, x2, x3, x4, args.t, 0, 0, 0)
             r = audit_sequence(g, u, w0, args.t)
             print(f"audit: {r.verdict} at {r.step} ({r.reason})")
@@ -343,6 +339,4 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in tools:
         print(f"usage: twinwidth {{{','.join(tools)}}} ...", file=sys.stderr)
         return 1
-    if argv[0] == "treewidth":
-        return main_treewidth(argv[1:])
     return tools[argv[0]](argv[1:])

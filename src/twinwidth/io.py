@@ -23,6 +23,13 @@ class FormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are a FormatError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(1, f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -30,7 +37,7 @@ def read_dimacs(text: str) -> Graph:
     """Parse `p edge <n> <m>` followed by m `e <u> <v>` lines, 1-indexed."""
     n = None
     m = None
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -63,7 +70,7 @@ def read_dimacs(text: str) -> Graph:
             e = (min(u, v) - 1, max(u, v) - 1)
             if e in edges:
                 raise FormatError(lineno, f"duplicate edge {u} {v}")
-            edges.append(e)
+            edges.add(e)
         else:
             raise FormatError(lineno, f"unrecognized line {line!r}")
     if n is None:
@@ -94,8 +101,13 @@ def trigraph_to_dot(t: Trigraph, name: str = "trigraph") -> str:
 # ------------------------------------------------------------- sequences
 
 
+def steps_payload(s: ContractionSequence) -> list[dict[str, int]]:
+    """The `steps` list of the JSON certificate: one {u, v} object per merge."""
+    return [{"u": u, "v": v} for u, v in s.pairs()]
+
+
 def sequence_to_json(s: ContractionSequence) -> str:
-    payload = {"n": s.n, "steps": [{"u": u, "v": v} for u, v in s.pairs()]}
+    payload = {"n": s.n, "steps": steps_payload(s)}
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
@@ -109,7 +121,7 @@ def sequence_from_json(text: str) -> ContractionSequence:
     steps = payload["steps"]
     if not isinstance(steps, list) or any(not isinstance(x, dict) or "u" not in x or "v" not in x for x in steps):
         raise FormatError(1, "'steps' must be a list of {u, v} objects")
-    return sequence_from_pairs(int(payload["n"]), [(int(x["u"]), int(x["v"])) for x in steps])
+    return sequence_from_pairs(_int(payload["n"], "n"), [(_int(x["u"], "u"), _int(x["v"], "v")) for x in steps])
 
 
 def verdict_to_json(width: int, trace: list[int]) -> str:
@@ -224,11 +236,16 @@ def mesh_from_json(text: str) -> MeshEmbedding:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(1, "mesh must be an object with 'N', 'rows' and 'cols'")
     for key in ("N", "rows", "cols"):
         if key not in payload:
             raise FormatError(1, f"mesh object missing {key!r}")
-    return MeshEmbedding(
-        int(payload["N"]),
-        tuple(tuple(int(v) for v in row) for row in payload["rows"]),
-        tuple(tuple(int(v) for v in col) for col in payload["cols"]),
-    )
+
+    def paths(key: str) -> tuple[tuple[int, ...], ...]:
+        lines = payload[key]
+        if not isinstance(lines, list) or any(not isinstance(line, list) for line in lines):
+            raise FormatError(1, f"{key!r} must be a list of vertex lists")
+        return tuple(tuple(_int(v, "mesh vertex") for v in line) for line in lines)
+
+    return MeshEmbedding(_int(payload["N"], "N"), paths("rows"), paths("cols"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .graphs import Graph
 from .sequences import ContractionSequence, sequence_from_pairs, verify_width
 from .structure import has_ktt
-from .treewidth import BudgetExceeded, TreeDecomposition, _decide_order, decomposition_from_order
+from .treewidth import BudgetExceeded, TreeDecomposition, decomposition_from_order, treewidth_order
 
 
 class WidthBoundMissed(AssertionError):
@@ -83,33 +83,26 @@ def decomposition_sequence(g: Graph, td: TreeDecomposition) -> ContractionSequen
     for node in reversed(order):
         weight[node] = 1 + sum(weight[c] for c in children[node])
 
+    # reversed, a pre-order that takes the lightest child first is the
+    # heavier-first post-order; an explicit stack keeps deep bag trees safe
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(sorted(children[node], key=lambda c: (-weight[c], c)))
     pairs: list[tuple[int, int]] = []
-    live = {v: v for v in range(g.n)}  # original vertex -> current certificate id
-    acc: int | None = None
-    nxt = g.n
-
-    def forget(v: int) -> None:
-        nonlocal acc, nxt
-        if acc is None:
-            acc = live[v]
-            return
-        pairs.append((acc, live[v]))
-        acc = nxt
-        nxt += 1
-
-    def walk(node: int) -> None:
-        for c in sorted(children[node], key=lambda c: (-weight[c], c)):
-            walk(c)
-            for v in sorted(bag[c] - bag[node] - forgotten):
-                forgotten.add(v)
-                forget(v)
-
+    acc: int | None = None  # certificate id of the accumulator
     forgotten: set[int] = set()
-    walk(root)
-    for v in sorted(bag[root]):
-        if v not in forgotten:
+    for node in reversed(preorder):
+        above = bag[parent[node]] if node != root else frozenset()
+        for v in sorted(bag[node] - above - forgotten):
             forgotten.add(v)
-            forget(v)
+            if acc is None:
+                acc = v
+            else:
+                pairs.append((acc, v))
+                acc = g.n + len(pairs) - 1
     return sequence_from_pairs(g.n, pairs)
 
 
@@ -127,7 +120,7 @@ def pipeline_certify(g: Graph, t: int, k: int, budget: int | None = None) -> Pip
         raise ValueError("t and k must be positive")
     bound = 2 ** (k + 2) - 1
     try:
-        order = _decide_order(g, k, budget)
+        order = treewidth_order(g, k, budget)
     except BudgetExceeded:
         return PipelineResult("unknown", gate=k)
     ktt = has_ktt(g, t)

@@ -52,32 +52,46 @@ def sequence_from_pairs(n: int, pairs_list) -> ContractionSequence:
     return ContractionSequence(n, steps)
 
 
-class _Replay:
-    """Mutable replay state over certificate ids; used by the verifiers."""
+class ReplayState:
+    """Mutable trigraph over certificate ids: the one contraction kernel.
+
+    The verifiers replay certificates on it and the heuristics in `solver`
+    build them on it; `graphs.contract` is the immutable reference.
+    """
 
     def __init__(self, g: Graph):
-        self.n = g.n
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
 
-    def live(self) -> set[int]:
-        return set(self.black)
+    def product(self, u: int, v: int) -> tuple[set[int], set[int]]:
+        """Red and black neighbours of the vertex that merging u, v makes."""
+        drop = {u, v}
+        n1 = (self.black[u] | self.red[u]) - drop
+        n2 = (self.black[v] | self.red[v]) - drop
+        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
+        return reds, (n1 | n2) - reds
+
+    def merge_cost(self, u: int, v: int) -> int:
+        """Max red degree of the trigraph after merging u, v; changes nothing."""
+        reds, _ = self.product(u, v)
+        cost = len(reds)
+        for w, row in self.red.items():
+            if w != u and w != v:
+                deg = len(row) - (u in row) - (v in row) + (w in reds)
+                if deg > cost:
+                    cost = deg
+        return cost
 
     def apply(self, step: ContractionStep) -> None:
         u, v, x0 = step.u, step.v, step.product
         if u not in self.black or v not in self.black:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+        reds, blacks = self.product(u, v)
         drop = {u, v}
-        n1 = (self.black[u] | self.red[u]) - drop
-        n2 = (self.black[v] | self.red[v]) - drop
-        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
-        blacks = (n1 | n2) - reds
         for w in (self.black.pop(u) | self.black.pop(v)) - drop:
-            self.black[w].discard(u)
-            self.black[w].discard(v)
+            self.black[w] -= drop
         for w in (self.red.pop(u) | self.red.pop(v)) - drop:
-            self.red[w].discard(u)
-            self.red[w].discard(v)
+            self.red[w] -= drop
         self.black[x0] = blacks
         self.red[x0] = reds
         for w in blacks:
@@ -103,7 +117,7 @@ def _check_shape(g: Graph, s: ContractionSequence) -> None:
 def width_trace(g: Graph, s: ContractionSequence) -> list[int]:
     """Max red degree of the trigraph after each step (length n-1)."""
     _check_shape(g, s)
-    state = _Replay(g)
+    state = ReplayState(g)
     trace = []
     for step in s.steps:
         state.apply(step)
@@ -125,7 +139,7 @@ def apply_prefix(g: Graph, s: ContractionSequence, i: int) -> Trigraph:
     _check_shape(g, s)
     if not (0 <= i <= g.n - 1):
         raise SequenceError(f"prefix length {i} out of range")
-    state = _Replay(g)
+    state = ReplayState(g)
     for step in s.steps[:i]:
         state.apply(step)
     return state.snapshot()
@@ -161,14 +175,19 @@ def partitions_at(u: UncontractionSequence, i: int) -> VertexPartition:
         raise SequenceError(f"partition index {i} out of range 1..{u.n}")
     parts: dict[int, frozenset[int]] = {u.root_id: frozenset(range(u.n))}
     for sp in u.splits[: i - 1]:
-        if sp.parent not in parts:
-            raise SequenceError(f"split of unknown part {sp.parent}")
-        whole = parts.pop(sp.parent)
-        if sp.set_a | sp.set_b != whole or (sp.set_a & sp.set_b) or not sp.set_a or not sp.set_b:
-            raise SequenceError(f"split of part {sp.parent} is not a two-way partition of it")
-        parts[sp.id_a] = sp.set_a
-        parts[sp.id_b] = sp.set_b
+        apply_split(parts, sp)
     return VertexPartition(u.n, tuple(sorted(parts.items())))
+
+
+def apply_split(parts: dict[int, frozenset[int]], sp: Split) -> None:
+    """Replace part `sp.parent` of the id -> members map by its two halves."""
+    if sp.parent not in parts:
+        raise SequenceError(f"split of unknown part {sp.parent}")
+    whole = parts.pop(sp.parent)
+    if sp.set_a | sp.set_b != whole or (sp.set_a & sp.set_b) or not sp.set_a or not sp.set_b:
+        raise SequenceError(f"split of part {sp.parent} is not a two-way partition of it")
+    parts[sp.id_a] = sp.set_a
+    parts[sp.id_b] = sp.set_b
 
 
 def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:

@@ -15,9 +15,10 @@ i.e. Q is inside intersection(P) and P inside intersection(Q).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Graph
-from .sequences import ContractionSequence, sequence_from_pairs, verify_width
+from .sequences import ContractionSequence, ContractionStep, ReplayState, sequence_from_pairs, verify_width
 
 DEFAULT_BUDGET = 10**7
 
@@ -174,38 +175,32 @@ def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> Exact
     return ExactResult("exceeds-cap", None, None, total)
 
 
+def _contract_greedily(g: Graph, pick) -> ContractionSequence | None:
+    """Merge pick(state, pairs) until one vertex is left, on the replay
+    kernel; pairs are the live pairs in lexicographic order.  None when
+    pick finds no pair.
+    """
+    if g.n == 0:
+        raise ValueError("twin-width is defined for nonempty graphs")
+    state = ReplayState(g)
+    steps: list[ContractionStep] = []
+    while len(state.black) > 1:
+        hit = pick(state, combinations(sorted(state.black), 2))
+        if hit is None:
+            return None
+        steps.append(ContractionStep(hit[0], hit[1], g.n + len(steps)))
+        state.apply(steps[-1])
+    return ContractionSequence(g.n, tuple(steps))
+
+
 def twinwidth_zero(g: Graph) -> ContractionSequence | None:
     """Width-0 fast path: repeatedly contract the lexicographically first
     twin pair.  Succeeds exactly on cographs; the certificate merges only
     twins, so it verifies at width 0.
     """
-    if g.n == 0:
-        raise ValueError("twin-width is defined for nonempty graphs")
-    nbrs: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
-    pairs: list[tuple[int, int]] = []
-    nxt = g.n
-    while len(nbrs) > 1:
-        hit = None
-        live = sorted(nbrs)
-        for ui, u in enumerate(live):
-            for v in live[ui + 1:]:
-                if nbrs[u] - {v} == nbrs[v] - {u}:
-                    hit = (u, v)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return None
-        u, v = hit
-        merged = (nbrs.pop(u) | nbrs.pop(v)) - {u, v}
-        for w in merged:
-            nbrs[w] -= {u, v}
-            nbrs[w].add(nxt)
-        nbrs[nxt] = merged
-        pairs.append((u, v))
-        nxt += 1
-    seq = sequence_from_pairs(g.n, pairs)
-    if verify_width(g, seq) != 0:
+    # in a trigraph with no red edge, u, v are twins iff their product has no red edge
+    seq = _contract_greedily(g, lambda st, pairs: next((uv for uv in pairs if not st.product(*uv)[0]), None))
+    if seq is not None and verify_width(g, seq) != 0:
         raise AssertionError("twin contraction produced a red edge")
     return seq
 
@@ -215,43 +210,5 @@ def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     degree, ties broken by the smallest certificate id pair.  Returns the
     certificate and its replay-verified width.
     """
-    if g.n == 0:
-        raise ValueError("twin-width is defined for nonempty graphs")
-    black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
-    red: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    pairs: list[tuple[int, int]] = []
-    nxt = g.n
-    while len(black) > 1:
-        live = sorted(black)
-        best = None
-        for ui, u in enumerate(live):
-            for v in live[ui + 1:]:
-                drop = {u, v}
-                n1 = (black[u] | red[u]) - drop
-                n2 = (black[v] | red[v]) - drop
-                reds = ((red[u] | red[v]) - drop) | (n1 ^ n2)
-                deg = len(reds)
-                for w in live:
-                    if w in drop:
-                        continue
-                    dw = len(red[w] - drop) + (1 if w in reds else 0)
-                    if dw > deg:
-                        deg = dw
-                key = (deg, (u, v))
-                if best is None or key < best[0]:
-                    best = (key, u, v, reds, (n1 | n2) - reds)
-        _, u, v, reds, blacks = best
-        for w in (black.pop(u) | black.pop(v)) - {u, v}:
-            black[w] -= {u, v}
-        for w in (red.pop(u) | red.pop(v)) - {u, v}:
-            red[w] -= {u, v}
-        black[nxt] = set(blacks)
-        red[nxt] = set(reds)
-        for w in blacks:
-            black[w].add(nxt)
-        for w in reds:
-            red[w].add(nxt)
-        pairs.append((u, v))
-        nxt += 1
-    seq = sequence_from_pairs(g.n, pairs)
+    seq = _contract_greedily(g, lambda st, pairs: min(pairs, key=lambda uv: (st.merge_cost(*uv), uv)))
     return seq, verify_width(g, seq)

@@ -179,8 +179,11 @@ def minor_min_width(g: Graph) -> int:
     return lb
 
 
-def _decide_order(g: Graph, k: int, budget: int | None):
-    """An elimination order of width <= k, or None if none exists."""
+def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
+    """An elimination order of width <= k, or None if none exists.
+
+    May raise BudgetExceeded.
+    """
     n = g.n
     if n == 0:
         return []
@@ -249,7 +252,7 @@ def treewidth_decide(g: Graph, k: int, budget: int | None = None) -> bool:
     """Exact decision: tree-width <= k?  May raise BudgetExceeded."""
     if k < 0:
         return g.n == 0
-    return _decide_order(g, k, budget) is not None
+    return treewidth_order(g, k, budget) is not None
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -297,7 +300,7 @@ def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
     lb = max(minor_min_width(g), 0)
     try:
         while lb < ub:
-            found = _decide_order(g, ub - 1, budget)
+            found = treewidth_order(g, ub - 1, budget)
             if found is None:
                 lb = ub
                 break

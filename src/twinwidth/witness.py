@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .connectivity import max_disjoint_paths, min_vertex_cut
 from .graphs import Graph, max_red_degree, pair
 from .partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
-from .sequences import Split, UncontractionSequence, partitions_at
+from .sequences import Split, UncontractionSequence, apply_split, partitions_at
 from .structure import MeshEmbedding, verify_mesh
 
 MAINTAINED = "maintained"
@@ -330,14 +330,12 @@ def find_mesh_witness(
     m = 1
     while any(w >= heavy_all for w in weights.values()) and m < u.n:
         sp = u.splits[m - 1]
-        blocks.pop(sp.parent, None)
-        weights.pop(sp.parent, None)
-        for cid, cset in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
-            blocks[cid] = cset
-            weights[cid] = len(cset & bv)
+        apply_split(blocks, sp)
+        del weights[sp.parent]
+        weights[sp.id_a] = len(sp.set_a & bv)
+        weights[sp.id_b] = len(sp.set_b & bv)
         m += 1
-    p = partitions_at(u, m)
-    weights = {pid: len(members & bv) for pid, members in p.parts}
+    p = VertexPartition(u.n, tuple(sorted(blocks.items())))
     # Z is the heavier child of the split that produced this level
     if m == 1:
         z = u.root_id

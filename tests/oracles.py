@@ -2,14 +2,16 @@
 
 Kept deliberately naive and separate from the library code paths: the
 twin-width brute force enumerates raw (u,v)-choice trees with no
-memoization; the tree-width oracle is a top-down set-based recursion; the
-separator oracle enumerates vertex subsets exhaustively.
+memoization; the greedy and twin-merge oracles rebuild an immutable
+trigraph with `graphs.contract` for every pair they score; the
+tree-width oracle is a top-down set-based recursion; the separator
+oracle enumerates vertex subsets exhaustively.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from twinwidth.graphs import Graph
+from twinwidth.graphs import Graph, contract, max_red_degree, trigraph_from_graph
 
 
 # ------------------------------------------------- twin-width brute force
@@ -79,6 +81,36 @@ def bf_twinwidth(g: Graph) -> int:
     while not bf_decide_twinwidth(g, d):
         d += 1
     return d
+
+
+# ---------------------------------------------- contraction heuristics
+
+
+def naive_greedy_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Merge the live pair with the smallest (max red degree after the
+    merge, pair), scored by contracting a fresh copy each time."""
+    t = trigraph_from_graph(g)
+    pairs = []
+    while t.n > 1:
+        x0 = g.n + len(pairs)
+        _, u, v = min((max_red_degree(contract(t, u, v, x0)), u, v) for u, v in combinations(sorted(t.vertices), 2))
+        t = contract(t, u, v, x0)
+        pairs.append((u, v))
+    return pairs
+
+
+def naive_twin_pairs(g: Graph) -> list[tuple[int, int]] | None:
+    """Merge the lexicographically first twin pair until one vertex is
+    left; None when some trigraph on the way has no twins."""
+    t = trigraph_from_graph(g)
+    pairs = []
+    while t.n > 1:
+        twins = [(u, v) for u, v in combinations(sorted(t.vertices), 2) if t.neighbors(u) - {v} == t.neighbors(v) - {u}]
+        if not twins:
+            return None
+        t = contract(t, *twins[0], g.n + len(pairs))
+        pairs.append(twins[0])
+    return pairs
 
 
 # ----------------------------------------------------- tree-width oracle

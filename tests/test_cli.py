@@ -179,6 +179,14 @@ class TestLab:
         out = capsys.readouterr().out
         assert out.startswith(("found:", "not found:"))
 
+    def test_step1_malformed_mesh_exits_one(self, p4_file, tmp_path, capsys):
+        sfile = tmp_path / "s.json"
+        sfile.write_text('{"n": 4, "steps": [{"u": 0, "v": 1}, {"u": 2, "v": 3}, {"u": 4, "v": 5}]}\n')
+        mfile = tmp_path / "m.json"
+        mfile.write_text('{"N":1,"rows":5,"cols":[]}')
+        assert main_lab(["step1", p4_file, str(sfile), str(mfile), "-k", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1:")
+
 
 class TestTreewidthCli:
     def test_k4(self, tmp_path, capsys):

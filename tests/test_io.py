@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -55,6 +56,13 @@ class TestDimacs:
             read_dimacs(text)
         assert exc.value.line == line
 
+    def test_long_path_reads_in_linear_time(self):
+        # the duplicate-edge check used to search a list: minutes at this size
+        text = write_dimacs(path_graph(40_001))
+        start = time.perf_counter()
+        assert read_dimacs(text).m == 40_000
+        assert time.perf_counter() - start < 5.0
+
 
 class TestDot:
     def test_red_edges_carry_color(self):
@@ -87,6 +95,21 @@ class TestSequenceJson:
             sequence_from_json('{"n": 3}')
         with pytest.raises(FormatError):
             sequence_from_json('{"n": 3, "steps": [1, 2]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2.5, "steps": [{"u": 0, "v": 1}]}',
+            '{"n": "a", "steps": []}',
+            '{"n": true, "steps": []}',
+            '{"n": 2, "steps": [{"u": "x", "v": 1}]}',
+            '{"n": 2, "steps": [{"u": 0, "v": 1.0}]}',
+        ],
+    )
+    def test_rejects_non_integers(self, text):
+        with pytest.raises(FormatError) as exc:
+            sequence_from_json(text)
+        assert exc.value.line == 1
 
 
 class TestPartitionText:
@@ -140,3 +163,11 @@ class TestMeshJson:
     def test_missing_field(self):
         with pytest.raises(FormatError):
             mesh_from_json('{"N": 1, "rows": []}')
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"N": 1, "rows": 5, "cols": []}', '{"N": 1, "rows": [[1, "a"]], "cols": []}', '{"N": 1.5, "rows": [], "cols": []}', "[1]", "7"],
+    )
+    def test_rejects_wrong_shapes(self, text):
+        with pytest.raises(FormatError):
+            mesh_from_json(text)

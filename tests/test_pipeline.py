@@ -12,7 +12,7 @@ from twinwidth.pipeline import (
 )
 from twinwidth.sequences import verify_width
 from twinwidth.structure import gen_wall
-from twinwidth.treewidth import treewidth_exact
+from twinwidth.treewidth import decomposition_from_order, treewidth_exact
 
 
 class TestDecompositionSequence:
@@ -28,6 +28,12 @@ class TestDecompositionSequence:
         for g in (path_graph(40), cycle_graph(30)):
             td = treewidth_exact(g).decomposition
             assert verify_width(g, decomposition_sequence(g, td)) <= 7
+
+    def test_deep_bag_tree_needs_no_recursion(self):
+        # a path eliminated end to end gives a path of 5,000 bags
+        g = path_graph(5000)
+        td = decomposition_from_order(g, list(range(5000)))
+        assert verify_width(g, decomposition_sequence(g, td)) <= 2 ** (td.width + 2) - 1
 
     def test_single_vertex(self):
         g = graph_from_edges(1, [])

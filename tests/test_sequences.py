@@ -3,8 +3,18 @@ import random
 import pytest
 
 from corpus import random_graph
-from twinwidth.graphs import complete_graph, cycle_graph, path_graph, relabel, trigraph_from_graph
+from twinwidth.graphs import (
+    complete_graph,
+    contract,
+    cycle_graph,
+    max_red_degree,
+    path_graph,
+    relabel,
+    trigraph_from_graph,
+)
 from twinwidth.sequences import (
+    ContractionStep,
+    ReplayState,
     SequenceError,
     apply_prefix,
     invert,
@@ -46,6 +56,41 @@ class TestVerifyWidth:
         g = random_graph(random.Random(0), 8)
         s, _ = greedy_sequence(g)
         assert width_trace(g, s) == width_trace(g, s)
+
+
+class TestKernelAgainstContract:
+    """The mutable replay kernel must agree with the immutable reference
+    `graphs.contract` after every merge, and its read-only probe with the
+    reference's red degree after the merge."""
+
+    def test_random_merge_orders(self):
+        rng = random.Random(5150)
+        probed = 0
+        for _ in range(60):
+            n = rng.randint(2, 11)
+            g = random_graph(rng, n)
+            state, t = ReplayState(g), trigraph_from_graph(g)
+            for j in range(n - 1):
+                live = sorted(t.vertices)
+                if j % 3 == 0:
+                    for a in range(len(live)):
+                        for b in range(a + 1, len(live)):
+                            u, v = live[a], live[b]
+                            assert state.merge_cost(u, v) == max_red_degree(contract(t, u, v, n + j))
+                            probed += 1
+                    assert state.snapshot() == t  # probing changes nothing
+                u, v = sorted(rng.sample(live, 2))
+                state.apply(ContractionStep(u, v, n + j))
+                t = contract(t, u, v, n + j)
+                assert state.snapshot() == t
+                assert state.max_red_degree() == max_red_degree(t)
+        assert probed > 1000
+
+    def test_apply_rejects_dead_vertices(self):
+        state = ReplayState(path_graph(3))
+        state.apply(ContractionStep(0, 1, 3))
+        with pytest.raises(SequenceError):
+            state.apply(ContractionStep(0, 2, 4))
 
 
 class TestApplyPrefix:

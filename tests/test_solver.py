@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from corpus import atlas_graphs, random_graph
-from oracles import bf_twinwidth, has_induced_p4
+from corpus import atlas_graphs, random_graph, random_graphs
+from oracles import bf_twinwidth, has_induced_p4, naive_greedy_pairs, naive_twin_pairs
 from twinwidth.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, relabel
 from twinwidth.sequences import verify_width
 from twinwidth.solver import (
@@ -117,6 +117,21 @@ class TestZero:
             g = random_graph(rng, rng.randint(1, 7))
             if twinwidth_zero(g) is not None:
                 assert twinwidth_exact(g, 0).value == 0
+
+
+class TestAgainstContractOracles:
+    """greedy_sequence and twinwidth_zero run on the replay kernel; the
+    oracles score every pair with an immutable `graphs.contract`."""
+
+    def test_greedy_pairs_match(self):
+        for g in random_graphs(2718, 120, 10):
+            s, _ = greedy_sequence(g)
+            assert list(s.pairs()) == naive_greedy_pairs(g), sorted(g.edges)
+
+    def test_twin_merges_match(self):
+        for g in random_graphs(3141, 200, 10):
+            s = twinwidth_zero(g)
+            assert (None if s is None else list(s.pairs())) == naive_twin_pairs(g), sorted(g.edges)
 
 
 class TestGreedy:

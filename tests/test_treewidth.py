@@ -13,6 +13,7 @@ from twinwidth.treewidth import (
     minor_min_width,
     treewidth_decide,
     treewidth_exact,
+    treewidth_order,
     verify_tree_decomposition,
 )
 
@@ -72,6 +73,12 @@ class TestDecide:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             treewidth_decide(grid_graph(5), 4, budget=3)
+
+    def test_order_is_a_certificate(self):
+        g = grid_graph(4)  # tree-width 4
+        order = treewidth_order(g, 4)
+        assert verify_tree_decomposition(g, decomposition_from_order(g, order)).width <= 4
+        assert treewidth_order(g, 3) is None
 
     def test_matches_exact(self):
         rng = random.Random(29)

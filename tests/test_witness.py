@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from plants import planted_cases, starved_cases
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges
 from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition
 from twinwidth.sequences import (
+    SequenceError,
     Split,
     invert,
     partitions_at,
@@ -329,6 +332,13 @@ class TestMeshWitnessSearch:
         assert rows_plants
         pl = rows_plants[0]
         assert find_mesh_witness(pl.g, pl.useq, pl.mesh, pl.k, pl.t) == pl.expected
+
+    def test_split_of_unknown_part_is_rejected(self):
+        pl = planted_cases()[0]
+        bad = dataclasses.replace(pl.useq.splits[0], parent=-1)
+        useq = dataclasses.replace(pl.useq, splits=(bad,) + pl.useq.splits[1:])
+        with pytest.raises(SequenceError):
+            find_mesh_witness(pl.g, useq, pl.mesh, pl.k, pl.t)
 
     def test_starved_controls_miss_with_named_stages(self):
         for pl in starved_cases():
