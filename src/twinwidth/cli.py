@@ -1,8 +1,8 @@
 """Command-line entry points: tww, gen, lab, treewidth.
 
-One process per subcommand; exit 0 on definitive answers, 2 on
-UNKNOWN/budget exhaustion, 1 on unparseable input.  JSON outputs are
-stable: sorted keys, fixed field names.
+One process per subcommand; exit 0 on definitive answers (and --help),
+2 on UNKNOWN/budget exhaustion, 1 on unparseable input or a usage error.
+JSON outputs are stable: sorted keys, fixed field names.
 """
 
 import argparse
@@ -26,6 +26,14 @@ from .witness import (
     check_witness,
     find_mesh_witness,
 )
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors at exit status 1, since 2 means UNKNOWN."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _read(path: str) -> str:
@@ -55,7 +63,7 @@ def _emit_seed(args) -> None:
 
 
 def main_tww(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="tww", description="Twin-width solvers and certificate verification.")
+    ap = _ArgumentParser(prog="tww", description="Twin-width solvers and certificate verification.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("decide", help="decide twin-width <= d")
@@ -170,7 +178,7 @@ def main_tww(argv=None) -> int:
 
 
 def main_gen(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="gen", description="Generators for structural graph families.")
+    ap = _ArgumentParser(prog="gen", description="Generators for structural graph families.")
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name in ("wall", "mesh", "tww3family", "tww3family-seq", "grid"):
         p = sub.add_parser(name)
@@ -212,7 +220,7 @@ def main_gen(argv=None) -> int:
 
 
 def main_lab(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="lab", description="Invariant machinery over partitioned trigraphs.")
+    ap = _ArgumentParser(prog="lab", description="Invariant machinery over partitioned trigraphs.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("obs31", help="black edges between big parts")
@@ -311,7 +319,7 @@ def main_lab(argv=None) -> int:
 
 
 def main_treewidth(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="treewidth", description="Exact tree-width with a PACE decomposition.")
+    ap = _ArgumentParser(prog="treewidth", description="Exact tree-width with a PACE decomposition.")
     ap.add_argument("graph")
     ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args(argv)

@@ -62,6 +62,7 @@ class ReplayState:
     def __init__(self, g: Graph):
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        self._by_red_degree: list[tuple[int, int]] | None = None  # (degree, vertex), largest first
 
     def product(self, u: int, v: int) -> tuple[set[int], set[int]]:
         """Red and black neighbours of the vertex that merging u, v makes."""
@@ -71,15 +72,34 @@ class ReplayState:
         reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
         return reds, (n1 | n2) - reds
 
-    def merge_cost(self, u: int, v: int) -> int:
-        """Max red degree of the trigraph after merging u, v; changes nothing."""
+    def merge_cost(self, u: int, v: int, stop: int | None = None) -> int:
+        """Max red degree of the trigraph after merging u, v; changes nothing.
+
+        With `stop`, a cost of at least stop may come back as any value
+        >= stop: the probe returns once a lower bound reaches stop, first
+        one that needs no product, then the product's own red degree.
+        """
+        if self._by_red_degree is None:
+            self._by_red_degree = sorted(((len(row), w) for w, row in self.red.items()), reverse=True)
+        # a vertex red to u or v trades it for the product, any other may
+        # gain it, so only u, v and their common red neighbours can drop
+        red_u, red_v = self.red[u], self.red[v]
+        cost = 0
+        for deg, w in self._by_red_degree:
+            if w != u and w != v and not (w in red_u and w in red_v):
+                cost = deg
+                break
+        if stop is not None and cost >= stop:
+            return cost
         reds, _ = self.product(u, v)
-        cost = len(reds)
-        for w, row in self.red.items():
-            if w != u and w != v:
-                deg = len(row) - (u in row) - (v in row) + (w in reds)
-                if deg > cost:
-                    cost = deg
+        cost = max(cost, len(reds))
+        if stop is not None and cost >= stop:
+            return cost
+        for w in reds:
+            row = self.red[w]
+            deg = len(row) - (u in row) - (v in row) + 1
+            if deg > cost:
+                cost = deg
         return cost
 
     def apply(self, step: ContractionStep) -> None:
@@ -87,6 +107,7 @@ class ReplayState:
         if u not in self.black or v not in self.black:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
         reds, blacks = self.product(u, v)
+        self._by_red_degree = None
         drop = {u, v}
         for w in (self.black.pop(u) | self.black.pop(v)) - drop:
             self.black[w] -= drop

@@ -8,10 +8,15 @@ ordered by the child's maximum red degree, then by the lexicographically
 smallest certificate pair, which makes YES certificates and UNKNOWN
 outcomes deterministic.
 
-Parts are bitmasks over original vertices carrying two derived masks: the
-union and the intersection of member adjacencies.  Parts P, Q are joined
-iff union(P) meets Q, and the join is black iff the crossing is complete,
-i.e. Q is inside intersection(P) and P inside intersection(Q).
+A state is a list of parts, each a bitmask over original vertices, with
+two quotient rows per part, bitmasks over part positions: `adjs` (parts
+joined by any edge) and `reds` (red joins).  A merge of parts i, j is
+scored from these rows alone: the merged part is black to w iff both are,
+unjoined iff neither is joined, else red; only the rows it or the old red
+rows of i and j touch change degree, and the largest untouched degree is
+read off the degree classes.  Merges over the width bound are pruned, the
+rest sorted, and a child's parts and rows are built only when the DFS
+reaches it and its partition is not yet visited.
 """
 
 from dataclasses import dataclass
@@ -38,21 +43,74 @@ class ExactResult:
     expanded: int
 
 
-class _Part:
-    __slots__ = ("mask", "union", "inter", "ext")
+def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
+    """(maxdeg, certificate pair, i, j, merged red row) for every merge of
+    parts i < j that keeps the red degree <= d, in search order.  Parts are
+    positions: exts holds their certificate ids, adjs and reds their
+    quotient rows.  Scores from the parents' rows only; builds no child."""
+    p = len(reds)
+    by_deg: dict[int, int] = {}
+    for w, r in enumerate(reds):
+        k = r.bit_count()
+        by_deg[k] = by_deg.get(k, 0) | 1 << w
+    classes = sorted(by_deg.items(), reverse=True)
+    full = (1 << p) - 1
+    out = []
+    for i in range(p):
+        ai, ri = adjs[i], reds[i]
+        for j in range(i + 1, p):
+            aj, rj = adjs[j], reds[j]
+            keep = full ^ (1 << i) ^ (1 << j)
+            # black to the merged part iff black to both, none iff none to both, else red
+            merged = (ai | aj) & ~(ai & aj & ~(ri | rj)) & keep
+            maxdeg = merged.bit_count()
+            if maxdeg > d:
+                continue
+            # row w's red degree moves by [w in merged] - [w red to i] - [w red to j];
+            # walk the degree classes down while one can still raise maxdeg
+            was = (ri | rj) & keep
+            up = merged & ~was  # +1
+            flat = (merged & (ri ^ rj)) | (keep & ~merged & ~was)  # 0
+            down2 = ri & rj & ~merged  # -2; the rest of `was` moves by -1
+            for k, rows in classes:
+                if k < maxdeg:
+                    break
+                rows &= keep
+                if rows & up:
+                    maxdeg = k + 1
+                elif rows & flat:
+                    maxdeg = k
+                elif rows & ~down2:
+                    maxdeg = max(maxdeg, k - 1)
+                elif rows:
+                    maxdeg = max(maxdeg, k - 2)
+            if maxdeg > d:
+                continue
+            a, b = exts[i], exts[j]
+            out.append((maxdeg, (a, b) if a < b else (b, a), i, j, merged))
+    out.sort()
+    return out
 
-    def __init__(self, mask: int, union: int, inter: int, ext: int):
-        self.mask = mask
-        self.union = union
-        self.inter = inter
-        self.ext = ext
 
+def _child_rows(adjs: list[int], reds: list[int], i: int, j: int, merged_red: int) -> tuple[list[int], list[int]]:
+    """The quotient rows after merging parts i < j, whose merged red row
+    `_scored` gave: positions shift down past i and j, the merged part
+    goes last."""
+    p = len(reds)
+    low, mid, top = (1 << i) - 1, (1 << (j - i - 1)) - 1, 1 << (p - 2)
 
-def _red(a: _Part, b: _Part) -> bool:
-    """True iff disjoint parts a, b get a red quotient edge."""
-    if not (a.union & b.mask):
-        return False
-    return (a.inter & b.mask) != b.mask or (b.inter & a.mask) != a.mask
+    def squeeze(r: int) -> int:
+        return (r & low) | ((r >> (i + 1)) & mid) << i | (r >> (j + 1)) << (j - 1)
+
+    merged_adj = (adjs[i] | adjs[j]) & ~(1 << i | 1 << j)
+    new_adjs, new_reds = [], []
+    for w in range(p):
+        if w != i and w != j:
+            new_adjs.append(squeeze(adjs[w]) | (top if merged_adj >> w & 1 else 0))
+            new_reds.append(squeeze(reds[w]) | (top if merged_red >> w & 1 else 0))
+    new_adjs.append(squeeze(merged_adj))
+    new_reds.append(squeeze(merged_red))
+    return new_adjs, new_reds
 
 
 def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> DecideResult:
@@ -73,81 +131,39 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    parts = [_Part(1 << v, adj[v], adj[v], v) for v in range(n)]
-    visited: set[tuple[int, ...]] = {tuple(sorted(p.mask for p in parts))}
+    visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
     expanded = 0
     out_of_budget = False
     steps: list[tuple[int, int]] = []
 
-    def children(cur: list[_Part], reds: list[int], next_ext: int):
-        p = len(cur)
-        degs = [r.bit_count() for r in reds]
-        top = 1 << (p - 2)
-        out = []
-        for i in range(p):
-            low_i = (1 << i) - 1
-            for j in range(i + 1, p):
-                a, b = cur[i], cur[j]
-                merged = _Part(a.mask | b.mask, a.union | b.union, a.inter & b.inter, next_ext)
-                mid_w = j - i - 1
-                new_reds = []
-                merged_mask = 0
-                maxdeg = 0
-                ok = True
-                newpos = 0
-                for oldpos in range(p):
-                    if oldpos == i or oldpos == j:
-                        continue
-                    r = reds[oldpos]
-                    m2 = (r & low_i) | ((r >> (i + 1)) & ((1 << mid_w) - 1)) << i | (r >> (j + 1)) << (j - 1)
-                    deg = degs[oldpos] - ((r >> i) & 1) - ((r >> j) & 1)
-                    if _red(cur[oldpos], merged):
-                        m2 |= top
-                        merged_mask |= 1 << newpos
-                        deg += 1
-                    if deg > d:
-                        ok = False
-                        break
-                    new_reds.append(m2)
-                    if deg > maxdeg:
-                        maxdeg = deg
-                    newpos += 1
-                if not ok:
-                    continue
-                mdeg = merged_mask.bit_count()
-                if mdeg > d:
-                    continue
-                new_reds.append(merged_mask)
-                if mdeg > maxdeg:
-                    maxdeg = mdeg
-                uv = (a.ext, b.ext) if a.ext < b.ext else (b.ext, a.ext)
-                new_parts = cur[:i] + cur[i + 1:j] + cur[j + 1:] + [merged]
-                out.append((maxdeg, uv, new_parts, new_reds))
-        out.sort(key=lambda c: (c[0], c[1]))
-        return out
-
-    def dfs(cur: list[_Part], reds: list[int]) -> bool:
+    def dfs(masks: list[int], exts: list[int], adjs: list[int], reds: list[int]) -> bool:
         nonlocal expanded, out_of_budget
-        if len(cur) == 1:
+        if len(masks) == 1:
             return True
         expanded += 1
         if expanded > budget:
             out_of_budget = True
             return False
-        for _, uv, new_parts, new_reds in children(cur, reds, n + len(steps)):
-            key = tuple(sorted(p.mask for p in new_parts))
+        next_ext = n + len(steps)
+        for _, uv, i, j, merged_red in _scored(exts, adjs, reds, d):
+            new_masks = masks[:i] + masks[i + 1:j] + masks[j + 1:]
+            new_masks.append(masks[i] | masks[j])
+            key = tuple(sorted(new_masks))
             if key in visited:
                 continue
             visited.add(key)
+            new_adjs, new_reds = _child_rows(adjs, reds, i, j, merged_red)
+            new_exts = exts[:i] + exts[i + 1:j] + exts[j + 1:]
+            new_exts.append(next_ext)
             steps.append(uv)
-            if dfs(new_parts, new_reds):
+            if dfs(new_masks, new_exts, new_adjs, new_reds):
                 return True
             if out_of_budget:
                 return False
             steps.pop()
         return False
 
-    if dfs(parts, [0] * n):
+    if dfs([1 << v for v in range(n)], list(range(n)), adj, [0] * n):
         seq = sequence_from_pairs(n, steps)
         if verify_width(g, seq) > d:
             raise AssertionError("solver produced a certificate wider than requested")
@@ -208,7 +224,17 @@ def twinwidth_zero(g: Graph) -> ContractionSequence | None:
 def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     """At each step contract the pair minimizing the resulting maximum red
     degree, ties broken by the smallest certificate id pair.  Returns the
-    certificate and its replay-verified width.
+    certificate and its replay-verified width.  Pairs are probed in
+    lexicographic order with the best cost so far as the probe's stop.
     """
-    seq = _contract_greedily(g, lambda st, pairs: min(pairs, key=lambda uv: (st.merge_cost(*uv), uv)))
+
+    def cheapest(state: ReplayState, pairs):
+        best, best_cost = None, None
+        for uv in pairs:
+            cost = state.merge_cost(*uv, stop=best_cost)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = uv, cost
+        return best
+
+    seq = _contract_greedily(g, cheapest)
     return seq, verify_width(g, seq)

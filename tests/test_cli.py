@@ -205,3 +205,37 @@ class TestTreewidthCli:
         f.write_text(write_dimacs(path_graph(3)))
         assert main(["treewidth", str(f)]) == 0
         assert main(["nope"]) == 1
+
+
+class TestUsageErrors:
+    """A bad invocation exits 1, apart from status 2 (UNKNOWN); --help exits 0."""
+
+    @pytest.mark.parametrize(
+        "tool,argv",
+        [
+            (main_tww, ["bogus"]),
+            (main_tww, ["decide", "g.gr"]),
+            (main_gen, ["wall"]),
+            (main_lab, ["obs31"]),
+            (main_treewidth, []),
+            (main_treewidth, ["g.gr", "--budget", "x"]),
+        ],
+    )
+    def test_usage_error_exits_one(self, tool, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tool(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tool", [main_tww, main_gen, main_lab, main_treewidth])
+    def test_help_exits_zero(self, tool, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tool(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_umbrella_usage_errors(self, capsys):
+        for argv in (["tww", "bogus"], ["treewidth"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1

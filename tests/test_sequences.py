@@ -86,6 +86,32 @@ class TestKernelAgainstContract:
                 assert state.max_red_degree() == max_red_degree(t)
         assert probed > 1000
 
+    def test_merge_cost_stop(self):
+        """Below `stop` the probe is exact; at or above it, only >= stop."""
+        rng = random.Random(6174)
+        early = 0
+        for _ in range(40):
+            n = rng.randint(2, 11)
+            g = random_graph(rng, n)
+            state, t = ReplayState(g), trigraph_from_graph(g)
+            for j in range(n - 1):
+                live = sorted(t.vertices)
+                for a in range(len(live)):
+                    for b in range(a + 1, len(live)):
+                        u, v = live[a], live[b]
+                        cost = max_red_degree(contract(t, u, v, n + j))
+                        for stop in range(n + 1):
+                            got = state.merge_cost(u, v, stop)
+                            if cost < stop:
+                                assert got == cost
+                            else:
+                                assert got >= stop
+                                early += got != cost
+                u, v = sorted(rng.sample(live, 2))
+                state.apply(ContractionStep(u, v, n + j))
+                t = contract(t, u, v, n + j)
+        assert early > 100
+
     def test_apply_rejects_dead_vertices(self):
         state = ReplayState(path_graph(3))
         state.apply(ContractionStep(0, 1, 3))

@@ -1,17 +1,30 @@
+import hashlib
 import random
 
 import pytest
 
 from corpus import atlas_graphs, random_graph, random_graphs
-from oracles import bf_twinwidth, has_induced_p4, naive_greedy_pairs, naive_twin_pairs
-from twinwidth.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, relabel
+from oracles import bf_decide_twinwidth, bf_twinwidth, has_induced_p4, naive_greedy_pairs, naive_twin_pairs
+from twinwidth.graphs import (
+    complete_bipartite,
+    complete_graph,
+    contract,
+    cycle_graph,
+    grid_graph,
+    max_red_degree,
+    path_graph,
+    relabel,
+    trigraph_from_graph,
+)
 from twinwidth.sequences import verify_width
 from twinwidth.solver import (
+    _scored,
     decide_twinwidth_at_most,
     greedy_sequence,
     twinwidth_exact,
     twinwidth_zero,
 )
+from twinwidth.structure import gen_tww3_family, gen_wall
 
 
 class TestDecide:
@@ -93,6 +106,103 @@ class TestExact:
             assert twinwidth_exact(g, 8).value == bf_twinwidth(g)
 
 
+def _outcome(r):
+    return (r.status, r.value, r.expanded, None if r.sequence is None else r.sequence.pairs())
+
+
+class TestSearchOrderPinned:
+    """The DFS's child order decides which certificate comes back and how
+    many states a budget buys; these outcomes pin it exactly."""
+
+    @pytest.mark.parametrize(
+        "name,g,budget,expected",
+        [
+            ("C8", cycle_graph(8), 10**6,
+             ("value", 2, 9, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13)))),
+            ("C12", cycle_graph(12), 10**6,
+             ("value", 2, 13, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15),
+                               (16, 17), (18, 19), (20, 21)))),
+            ("grid3x4", grid_graph(3, 4), 10**6,
+             ("value", 2, 42, ((0, 5), (3, 6), (4, 9), (2, 12), (1, 15), (7, 10), (8, 14), (11, 13),
+                                (16, 17), (18, 19), (20, 21)))),
+            ("grid4x4", grid_graph(4, 4), 10**6,
+             ("value", 3, 274, ((0, 5), (1, 4), (2, 7), (3, 6), (8, 13), (9, 12), (10, 15), (11, 18),
+                                 (14, 21), (16, 20), (17, 19), (22, 23), (24, 25), (26, 27), (28, 29)))),
+            ("wall4", gen_wall(4)[0], 10**6,
+             ("value", 2, 20, ((1, 3), (13, 15), (0, 4), (2, 7), (8, 12), (11, 14), (16, 18), (6, 22),
+                                (5, 23), (17, 20), (10, 25), (9, 24), (19, 21), (26, 27), (28, 29)))),
+            ("tww3-3", gen_tww3_family(3)[0], 10**6,
+             ("value", 2, 14, ((0, 2), (3, 6), (5, 8), (4, 7), (9, 13), (11, 14), (16, 17), (1, 10),
+                                (12, 15), (18, 19), (20, 21)))),
+            ("tww3-4", gen_tww3_family(4)[0], 10**6,
+             ("value", 3, 121, ((0, 4), (3, 7), (8, 12), (11, 15), (1, 5), (2, 6), (9, 13), (10, 14),
+                                 (16, 20), (19, 21), (22, 28), (17, 30), (23, 29), (18, 32), (24, 25),
+                                 (26, 27), (31, 33), (34, 35), (36, 37)))),
+            ("grid4x5@100", grid_graph(4, 5), 100, ("unknown", None, 103, None)),
+            ("tww3-4@100", gen_tww3_family(4)[0], 100,
+             ("value", 3, 121, ((0, 4), (3, 7), (8, 12), (11, 15), (1, 5), (2, 6), (9, 13), (10, 14),
+                                 (16, 20), (19, 21), (22, 28), (17, 30), (23, 29), (18, 32), (24, 25),
+                                 (26, 27), (31, 33), (34, 35), (36, 37)))),
+        ],
+    )
+    def test_named_graphs(self, name, g, budget, expected):
+        assert _outcome(twinwidth_exact(g, 4, budget)) == expected
+
+    def test_seeded_random_outcomes(self):
+        """Status, value, expansions and pairs over 300 random graphs with
+        n <= 11 and budgets 5, 30 and 10**6, hashed."""
+        rng = random.Random(4040)
+        lines = []
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(2, 11))
+            for budget in (5, 30, 10**6):
+                lines.append(repr(_outcome(twinwidth_exact(g, 4, budget))))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        assert digest == "b889b4b35ef8c9a1"
+
+    def test_decisions_match_brute_force(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 11))
+            for d in range(3):
+                r = decide_twinwidth_at_most(g, d)
+                assert (r.status == "yes") == bf_decide_twinwidth(g, d), (d, sorted(g.edges))
+                if r.status == "yes":
+                    assert verify_width(g, r.sequence) <= d
+
+
+class TestChildScores:
+    """The search scores a merge from its parents' quotient rows; each
+    score must equal the max red degree of the contracted trigraph."""
+
+    def test_scores_match_contract(self):
+        rng = random.Random(2024)
+        scored = 0
+        for _ in range(60):
+            n = rng.randint(2, 11)
+            g = random_graph(rng, n)
+            t = trigraph_from_graph(g)
+            for j in range(n - 1):
+                live = sorted(t.vertices)
+                pos = {x: k for k, x in enumerate(live)}
+                adjs = [sum(1 << pos[y] for y in t.neighbors(x)) for x in live]
+                reds = [sum(1 << pos[y] for y in t.red_adj[x]) for x in live]
+                want = {}
+                for a in range(len(live)):
+                    for b in range(a + 1, len(live)):
+                        want[live[a], live[b]] = max_red_degree(contract(t, live[a], live[b], n + j))
+                for d in range(4):
+                    got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
+                    assert got == {uv: deg for uv, deg in want.items() if deg <= d}
+                got = _scored(live, adjs, reds, n)
+                assert [(deg, uv) for deg, uv, *_ in got] == sorted((deg, uv) for uv, deg in want.items())
+                assert all((live[a], live[b]) == uv for _, uv, a, b, _ in got)
+                scored += len(got)
+                u, v = sorted(rng.sample(live, 2))
+                t = contract(t, u, v, n + j)
+        assert scored > 1000
+
+
 class TestZero:
     def test_biclique_is_cograph(self):
         s = twinwidth_zero(complete_bipartite(3, 3))
@@ -124,7 +234,7 @@ class TestAgainstContractOracles:
     oracles score every pair with an immutable `graphs.contract`."""
 
     def test_greedy_pairs_match(self):
-        for g in random_graphs(2718, 120, 10):
+        for g in random_graphs(2718, 120, 10) + random_graphs(1414, 6, 14, 12):
             s, _ = greedy_sequence(g)
             assert list(s.pairs()) == naive_greedy_pairs(g), sorted(g.edges)
 
