@@ -56,13 +56,17 @@ class ReplayState:
     """Mutable trigraph over certificate ids: the one contraction kernel.
 
     The verifiers replay certificates on it and the heuristics in `solver`
-    build them on it; `graphs.contract` is the immutable reference.
+    build them on it; `graphs.contract` is the immutable reference.  It
+    keeps a histogram of the live red degrees and their maximum, which
+    `apply` updates for the rows it changes, so `max_red_degree` is O(1).
     """
 
     def __init__(self, g: Graph):
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
         self._by_red_degree: list[tuple[int, int]] | None = None  # (degree, vertex), largest first
+        self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
+        self._max_red = 0
 
     def product(self, u: int, v: int) -> tuple[set[int], set[int]]:
         """Red and black neighbours of the vertex that merging u, v makes."""
@@ -111,17 +115,30 @@ class ReplayState:
         drop = {u, v}
         for w in (self.black.pop(u) | self.black.pop(v)) - drop:
             self.black[w] -= drop
-        for w in (self.red.pop(u) | self.red.pop(v)) - drop:
-            self.red[w] -= drop
         self.black[x0] = blacks
-        self.red[x0] = reds
         for w in blacks:
             self.black[w].add(x0)
+        # reds holds every red neighbour of u and v, so only these rows,
+        # u, v and the product change red degree
+        hist = self._rows_of_degree
+        hist[len(self.red.pop(u))] -= 1
+        hist[len(self.red.pop(v))] -= 1
         for w in reds:
-            self.red[w].add(x0)
+            row = self.red[w]
+            hist[len(row)] -= 1
+            row -= drop
+            row.add(x0)
+            hist[len(row)] += 1
+        self.red[x0] = reds
+        hist[len(reds)] += 1
+        # a row gains at most the product; walk down to the first degree held
+        top = max(self._max_red + 1, len(reds))
+        while top and not hist[top]:
+            top -= 1
+        self._max_red = top
 
     def max_red_degree(self) -> int:
-        return max((len(s) for s in self.red.values()), default=0)
+        return self._max_red
 
     def snapshot(self) -> Trigraph:
         verts = frozenset(self.black)

@@ -7,6 +7,7 @@ upper bound.  Every decomposition it emits is rebuilt from the ordering
 and re-checked by the literal three-condition verifier.
 """
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +42,11 @@ class TDReport:
 
 
 def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport:
-    """Check the three decomposition conditions literally, plus treeness."""
+    """Check treeness and the three decomposition conditions, in that order.
+
+    The bags holding each vertex are indexed once, so every check costs
+    about the total size of the bags.
+    """
     ids = [i for i, _ in td.bags]
     if len(set(ids)) != len(ids):
         return TDReport(False, None, "duplicate bag id")
@@ -65,29 +70,26 @@ def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport:
                     stack.append(y)
         if seen != idset:
             return TDReport(False, None, "bag tree is disconnected")
-    covered: set[int] = set()
-    for _, bag in td.bags:
-        covered |= bag
+    holding: list[set[int]] = [set() for _ in range(g.n)]  # vertex -> ids of the bags holding it
+    for i, bag in td.bags:
         for v in bag:
             if not (0 <= v < g.n):
                 return TDReport(False, None, f"bag vertex {v} out of range")
-    if covered != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - covered)
+            holding[v].add(i)
+    missing = [v for v in range(g.n) if not holding[v]]
+    if missing:
         return TDReport(False, None, f"vertices {missing} are in no bag")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for _, bag in td.bags):
+        if holding[u].isdisjoint(holding[v]):
             return TDReport(False, None, f"edge ({u},{v}) is in no bag")
+    # in a tree, k nodes are connected iff k - 1 tree edges join them
+    joined = [0] * g.n
+    by_id = td.by_id
+    for a, b in td.edges:
+        for v in by_id[a] & by_id[b]:
+            joined[v] += 1
     for v in range(g.n):
-        holding = [i for i, bag in td.bags if v in bag]
-        hold = set(holding)
-        seen = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            for y in nbrs[stack.pop()]:
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != hold:
+        if joined[v] != len(holding[v]) - 1:
             return TDReport(False, None, f"bags holding vertex {v} are not connected in the tree")
     return TDReport(True, td.width, None)
 
@@ -133,49 +135,96 @@ def _eliminate(nbrs: dict[int, set[int]], v: int) -> None:
 
 
 def min_fill_order(g: Graph) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order and its width (an upper bound)."""
-    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    """Greedy min-fill elimination order and its width (an upper bound).
+
+    Eliminates the live vertex with the smallest (fill, degree, id), where
+    fill counts the non-adjacent pairs among its neighbours.  Each vertex
+    keeps its fill count, updated by the change one elimination makes, and
+    a lazy-deletion heap holds the keys, so a step costs what its fill
+    edges touch rather than a rescore of every live vertex.
+    """
+    nbrs = [set(row) for row in g.adj]
+    fill = []
+    for v, around in enumerate(nbrs):
+        d = len(around)
+        fill.append(d * (d - 1) // 2 - sum(len(around & nbrs[u]) for u in around) // 2)
+    keys: list[tuple[int, int] | None] = [(fill[v], len(nbrs[v])) for v in range(g.n)]
+    heap = [(f, d, v) for v, (f, d) in enumerate(keys)]
+    heapq.heapify(heap)
     order: list[int] = []
     width = 0
-    while nbrs:
-        best = None
-        for v in sorted(nbrs):
-            fill = 0
-            around = nbrs[v]
-            for u in around:
-                fill += len(around - nbrs[u]) - 1
-            key = (fill, len(around), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        width = max(width, len(nbrs[v]))
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if keys[v] != (f, d):
+            continue  # v is eliminated, or has a newer key in the heap
+        keys[v] = None
+        width = max(width, d)
         order.append(v)
-        _eliminate(nbrs, v)
+        around = nbrs[v]
+        changed = set(around)
+        # v leaves: each neighbour u loses the missing pairs {v, x}, x in N(u) - N(v)
+        for u in around:
+            row = nbrs[u]
+            row.discard(v)
+            fill[u] -= len(row - around)
+        # each fill edge {a, b} closes the pair in every common neighbour
+        # and opens the pairs {b, x}, x in N(a) - N(b), in a (and back in b)
+        for a in around:
+            for b in around:
+                if a < b and b not in nbrs[a]:
+                    na, nb = nbrs[a], nbrs[b]
+                    common = na & nb
+                    for c in common:
+                        fill[c] -= 1
+                    changed |= common
+                    fill[a] += len(na - nb)
+                    fill[b] += len(nb - na)
+                    na.add(b)
+                    nb.add(a)
+        for u in changed:
+            key = (fill[u], len(nbrs[u]))
+            if key != keys[u]:
+                keys[u] = key
+                heapq.heappush(heap, (*key, u))
     return order, width
 
 
 def minor_min_width(g: Graph) -> int:
-    """Degeneracy-style contraction lower bound on tree-width."""
-    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    """Degeneracy-style contraction lower bound on tree-width.
+
+    Contracts the live vertex with the smallest (degree, id) into its
+    neighbour with the fewest common neighbours (ties to the smaller id),
+    taking the largest degree met.  A lazy-deletion heap holds the keys,
+    and a contraction rekeys only the vertices whose degree it changes.
+    """
+    nbrs = [set(row) for row in g.adj]
+    degree: list[int | None] = [len(row) for row in nbrs]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    live = g.n
     lb = 0
-    while len(nbrs) > 1:
-        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
-        lb = max(lb, len(nbrs[v]))
-        if not nbrs[v]:
-            del nbrs[v]
+    while live > 1:
+        d, v = heapq.heappop(heap)
+        if degree[v] != d:
+            continue  # v is gone, or has a newer key in the heap
+        lb = max(lb, d)
+        degree[v] = None
+        live -= 1
+        around = nbrs[v]
+        if not around:
             continue
-        w = min(nbrs[v], key=lambda x: (len(nbrs[v] & nbrs[x]), x))
-        merged = (nbrs.pop(v) | nbrs.pop(w)) - {v, w}
-        nbrs[w] = merged
-        for u in list(nbrs):
-            if u == w:
-                continue
-            if v in nbrs[u] or w in nbrs[u]:
-                nbrs[u].discard(v)
-                if u in merged:
-                    nbrs[u].add(w)
-                else:
-                    nbrs[u].discard(w)
+        w = min(around, key=lambda x: (len(around & nbrs[x]), x))
+        for u in around:
+            row = nbrs[u]
+            row.discard(v)
+            if u != w and w not in row:
+                row.add(w)
+                nbrs[w].add(u)
+        # w gains v's other neighbours; the common ones lose one
+        for u in around:
+            if degree[u] != len(nbrs[u]):
+                degree[u] = len(nbrs[u])
+                heapq.heappush(heap, (degree[u], u))
     return lb
 
 

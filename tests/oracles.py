@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from twinwidth.graphs import Graph, contract, max_red_degree, trigraph_from_graph
+from twinwidth.treewidth import TDReport, TreeDecomposition
 
 
 # ------------------------------------------------- twin-width brute force
@@ -111,6 +112,123 @@ def naive_twin_pairs(g: Graph) -> list[tuple[int, int]] | None:
         t = contract(t, *twins[0], g.n + len(pairs))
         pairs.append(twins[0])
     return pairs
+
+
+# ------------------------------------------------ tree-width heuristics
+
+
+def _naive_eliminate(nbrs: dict[int, set[int]], v: int) -> None:
+    around = nbrs.pop(v)
+    for u in around:
+        nbrs[u].discard(v)
+    for u in around:
+        for w in around:
+            if u < w:
+                nbrs[u].add(w)
+                nbrs[w].add(u)
+
+
+def naive_min_fill_order(g: Graph) -> tuple[list[int], int]:
+    """Eliminate the live vertex with the smallest (fill, degree, id),
+    scoring every live vertex afresh at every step."""
+    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    order: list[int] = []
+    width = 0
+    while nbrs:
+        best = None
+        for v in sorted(nbrs):
+            fill = 0
+            around = nbrs[v]
+            for u in around:
+                fill += len(around - nbrs[u]) - 1
+            key = (fill, len(around), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        v = best[1]
+        width = max(width, len(nbrs[v]))
+        order.append(v)
+        _naive_eliminate(nbrs, v)
+    return order, width
+
+
+def naive_minor_min_width(g: Graph) -> int:
+    """Contract the smallest-(degree, id) vertex into its neighbour with
+    the fewest common neighbours, rescanning every vertex per step."""
+    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    lb = 0
+    while len(nbrs) > 1:
+        v = min(nbrs, key=lambda x: (len(nbrs[x]), x))
+        lb = max(lb, len(nbrs[v]))
+        if not nbrs[v]:
+            del nbrs[v]
+            continue
+        w = min(nbrs[v], key=lambda x: (len(nbrs[v] & nbrs[x]), x))
+        merged = (nbrs.pop(v) | nbrs.pop(w)) - {v, w}
+        nbrs[w] = merged
+        for u in list(nbrs):
+            if u == w:
+                continue
+            if v in nbrs[u] or w in nbrs[u]:
+                nbrs[u].discard(v)
+                if u in merged:
+                    nbrs[u].add(w)
+                else:
+                    nbrs[u].discard(w)
+    return lb
+
+
+def naive_verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport:
+    """The decomposition checks in the same order, each by a full scan:
+    the bags holding a vertex are searched for in every bag, and their
+    connectivity is walked over the whole bag tree."""
+    ids = [i for i, _ in td.bags]
+    if len(set(ids)) != len(ids):
+        return TDReport(False, None, "duplicate bag id")
+    idset = set(ids)
+    for a, b in td.edges:
+        if a not in idset or b not in idset:
+            return TDReport(False, None, f"tree edge ({a},{b}) uses an unknown bag")
+    if len(td.edges) != len(ids) - 1:
+        return TDReport(False, None, f"{len(ids)} bags need {len(ids) - 1} tree edges, got {len(td.edges)}")
+    nbrs: dict[int, set[int]] = {i: set() for i in ids}
+    for a, b in td.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    if ids:
+        seen = {ids[0]}
+        stack = [ids[0]]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != idset:
+            return TDReport(False, None, "bag tree is disconnected")
+    covered: set[int] = set()
+    for _, bag in td.bags:
+        covered |= bag
+        for v in bag:
+            if not (0 <= v < g.n):
+                return TDReport(False, None, f"bag vertex {v} out of range")
+    if covered != set(range(g.n)):
+        missing = sorted(set(range(g.n)) - covered)
+        return TDReport(False, None, f"vertices {missing} are in no bag")
+    for u, v in sorted(g.edges):
+        if not any(u in bag and v in bag for _, bag in td.bags):
+            return TDReport(False, None, f"edge ({u},{v}) is in no bag")
+    for v in range(g.n):
+        holding = [i for i, bag in td.bags if v in bag]
+        hold = set(holding)
+        seen = {holding[0]}
+        stack = [holding[0]]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y in hold and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != hold:
+            return TDReport(False, None, f"bags holding vertex {v} are not connected in the tree")
+    return TDReport(True, td.width, None)
 
 
 # ----------------------------------------------------- tree-width oracle

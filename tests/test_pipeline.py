@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -42,6 +43,14 @@ class TestDecompositionSequence:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
+    def test_certifies_5000_vertices(self, g):
+        # min-fill and the replay each rescanned every vertex per step: 11-18 s
+        start = time.perf_counter()
+        r = pipeline_certify(g, 2, 3)
+        assert r.status == "sequence" and r.width <= r.bound
+        assert time.perf_counter() - start < 3.0
+
     def test_tree_at_gate_one(self):
         rng = random.Random(15)
         for _ in range(5):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,24 @@ from twinwidth.sequences import (
 from twinwidth.partitions import quotient
 from twinwidth.solver import greedy_sequence
 from twinwidth.structure import tww3_family_sequence, gen_tww3_family
+
+
+def _max_red_row(state: ReplayState) -> int:
+    return max((len(row) for row in state.red.values()), default=0)
+
+
+def _random_merge_order(rng: random.Random, n: int):
+    """A sequence merging two uniformly random live vertices per step."""
+    live, pairs = list(range(n)), []
+    for j in range(n - 1):
+        picked = []
+        for _ in range(2):
+            i = rng.randrange(len(live))
+            live[i], live[-1] = live[-1], live[i]
+            picked.append(live.pop())
+        live.append(n + j)
+        pairs.append(picked)
+    return sequence_from_pairs(n, pairs)
 
 
 class TestVerifyWidth:
@@ -83,8 +102,21 @@ class TestKernelAgainstContract:
                 state.apply(ContractionStep(u, v, n + j))
                 t = contract(t, u, v, n + j)
                 assert state.snapshot() == t
-                assert state.max_red_degree() == max_red_degree(t)
+                assert state.max_red_degree() == max_red_degree(t) == _max_red_row(state)
         assert probed > 1000
+
+    def test_running_max_red_degree(self):
+        """The kept maximum equals a scan of the red rows after every step,
+        on the paper's certificates and on random merge orders."""
+        rng = random.Random(2718)
+        for n in range(2, 7):
+            g, _ = gen_tww3_family(n)
+            orders = [tww3_family_sequence(n)] + [_random_merge_order(rng, g.n) for _ in range(4)]
+            for s in orders:
+                state = ReplayState(g)
+                for step in s.steps:
+                    state.apply(step)
+                    assert state.max_red_degree() == _max_red_row(state)
 
     def test_merge_cost_stop(self):
         """Below `stop` the probe is exact; at or above it, only >= stop."""
@@ -194,3 +226,23 @@ class TestRelabeling:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert verify_width(relabel(g, perm), sequence_relabel(s, perm)) == w
+
+
+class TestScale:
+    """Replay of a 19,740-vertex trigraph: the running maximum replaces a
+    scan of every live row after each step (15-22 s at this size)."""
+
+    def test_paper_certificate(self):
+        g, _ = gen_tww3_family(140)
+        s = tww3_family_sequence(140)
+        start = time.perf_counter()
+        assert verify_width(g, s) == 3
+        assert time.perf_counter() - start < 2.0
+
+    def test_random_merge_order(self):
+        g, _ = gen_tww3_family(140)
+        s = _random_merge_order(random.Random(140), g.n)
+        start = time.perf_counter()
+        trace = width_trace(g, s)
+        assert len(trace) == g.n - 1 and trace[-1] == 0
+        assert time.perf_counter() - start < 5.0

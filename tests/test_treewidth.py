@@ -1,9 +1,11 @@
 import random
+import re
+import time
 
 import pytest
 
 from corpus import random_graph, random_tree
-from oracles import oracle_treewidth
+from oracles import naive_min_fill_order, naive_minor_min_width, naive_verify_tree_decomposition, oracle_treewidth
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges, grid_graph, path_graph
 from twinwidth.treewidth import (
     BudgetExceeded,
@@ -145,3 +147,96 @@ class TestHelpers:
         r = treewidth_exact(g)
         assert r.width == 1
         assert verify_tree_decomposition(g, r.decomposition).valid
+
+
+def _pinned_corpus() -> list:
+    """Seeded graphs on which the heuristics must match the naive rescans."""
+    rng = random.Random(8128)
+    graphs = [graph_from_edges(0, []), graph_from_edges(1, []), graph_from_edges(5, []),
+              graph_from_edges(7, [(0, 1), (1, 2), (4, 5)])]
+    graphs += [complete_graph(n) for n in range(2, 13)]
+    graphs += [grid_graph(r, c) for r in range(1, 7) for c in range(r, 9)]
+    for i in range(120):  # every density from nearly empty to nearly complete
+        graphs.append(random_graph(rng, rng.randint(2, 40), (i % 10 + 0.5) / 10))
+    for i in range(60):  # a random tree plus 0.5n-1.5n chords, n = 18-23
+        n = 18 + i % 6
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        extra = rng.randint(n // 2, 3 * n // 2)
+        while len(edges) < n - 1 + extra:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        graphs.append(graph_from_edges(n, edges))
+    for _ in range(6):
+        graphs.append(random_tree(rng, rng.randint(2, 300)))
+        spine = rng.randint(2, 200)
+        legs = rng.randint(0, 300 - spine)
+        graphs.append(graph_from_edges(spine + legs, [(i, i + 1) for i in range(spine - 1)]
+                                       + [(rng.randrange(spine), spine + j) for j in range(legs)]))
+    return graphs
+
+
+def _corrupt(rng: random.Random, g, td: TreeDecomposition) -> TreeDecomposition:
+    """One random damage to a decomposition's bags or tree edges."""
+    bags = [list(b) for b in td.bags]
+    edges = list(td.edges)
+    kind = rng.randrange(7)
+    i = rng.randrange(len(bags))
+    ids = [b[0] for b in bags]
+    if kind == 0 and bags[i][1]:
+        bags[i][1] = bags[i][1] - {rng.choice(sorted(bags[i][1]))}
+    elif kind == 1:
+        bags[i][1] = bags[i][1] | {rng.randrange(g.n)}
+    elif kind == 2:
+        bags[i][1] = bags[i][1] | {rng.choice([-1, g.n])}
+    elif kind == 3 and edges:
+        a, _ = edges.pop(rng.randrange(len(edges)))
+        edges.append((a, rng.choice(ids)))
+    elif kind == 4 and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == 5:
+        bags[i][0] = rng.choice(ids + [max(ids) + 1])
+    else:
+        j = rng.randrange(len(bags))
+        bags[i][1], bags[j][1] = bags[j][1], bags[i][1]
+    return TreeDecomposition(tuple((b, frozenset(s)) for b, s in bags), tuple(edges))
+
+
+class TestAgainstNaive:
+    """The heuristics and the verifier must give exactly what the naive
+    full rescans in `oracles` give."""
+
+    def test_min_fill_order(self):
+        for g in _pinned_corpus():
+            assert min_fill_order(g) == naive_min_fill_order(g), sorted(g.edges)
+
+    def test_minor_min_width(self):
+        for g in _pinned_corpus():
+            assert minor_min_width(g) == naive_minor_min_width(g), sorted(g.edges)
+
+    def test_verifier_verdicts_and_messages(self):
+        rng = random.Random(4242)
+        seen = set()
+        for g in _pinned_corpus()[:120]:
+            if g.n == 0:
+                continue
+            td = decomposition_from_order(g, naive_min_fill_order(g)[0])
+            for _ in range(8):
+                bad = _corrupt(rng, g, td)
+                if rng.random() < 0.3:
+                    bad = _corrupt(rng, g, bad)
+                report = verify_tree_decomposition(g, bad)
+                assert report == naive_verify_tree_decomposition(g, bad)
+                seen.add(re.sub(r"\[.*\]|-?\d+", "#", report.violation or "valid"))
+        assert len(seen) == 9, seen  # each of the eight messages, and a pass
+
+
+class TestScale:
+    """Thousands of vertices: each elimination, contraction and check
+    costs what it changes, not a rescan of the whole graph."""
+
+    @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
+    def test_exact_on_5000_vertices(self, g):
+        # every live vertex was rescored at every step: 15-25 s at this size
+        start = time.perf_counter()
+        r = treewidth_exact(g)
+        assert r.status == "exact" and r.width == 1
+        assert time.perf_counter() - start < 3.0
