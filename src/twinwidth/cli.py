@@ -16,7 +16,7 @@ from .pipeline import PipelineResult, WidthBoundMissed, pipeline_certify
 from .sequences import SequenceError, apply_prefix, invert, width_trace
 from .solver import DEFAULT_BUDGET, decide_twinwidth_at_most, greedy_sequence, twinwidth_exact, twinwidth_zero
 from .structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
-from .treewidth import BudgetExceeded, treewidth_exact
+from .treewidth import treewidth_exact
 from .witness import (
     MeshWitness,
     WitnessState,
@@ -327,14 +327,11 @@ def main_treewidth(argv=None) -> int:
         g = _graph(args.graph)
         r = treewidth_exact(g, args.budget)
         if r.status != "exact":
-            print(f"tw: unknown (bounds {r.lb}..{r.ub})")
+            print(f"tw: unknown (bounds {r.lb}..{r.ub} after {r.expanded} states)")
             return 2
         print(f"tw: {r.width}")
         print(formats.write_pace_td(r.decomposition, g.n), end="")
         return 0
-    except BudgetExceeded:
-        print("tw: unknown (budget)", file=sys.stderr)
-        return 2
     except (formats.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,12 @@
 The solver searches elimination orderings as a memoized dynamic program
 over vertex subsets (the set of already-eliminated vertices), pruned by a
 degeneracy-style lower bound, a stuck-vertex count, and a greedy min-fill
-upper bound.  Every decomposition it emits is rebuilt from the ordering
-and re-checked by the literal three-condition verifier.
+upper bound.  Each state carries the fill rows of its elimination graph:
+for every live vertex, the live vertices it reaches through eliminated
+ones.  Eliminating v rewrites only the rows of v's fill neighbours, so a
+state costs O(n + k) word operations.  Every decomposition it emits is
+rebuilt from the ordering and re-checked by the literal three-condition
+verifier.
 """
 
 import heapq
@@ -103,24 +107,6 @@ def _adj_masks(g: Graph) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
-
-
-def _fill_degree(adj: list[int], eliminated: int, v: int) -> int:
-    """Neighbours of v outside `eliminated`, reachable through it."""
-    vbit = 1 << v
-    seen = vbit
-    grow = adj[v]
-    while True:
-        inside = grow & eliminated & ~seen
-        if not inside:
-            break
-        seen |= inside
-        m = inside
-        while m:
-            b = m & -m
-            grow |= adj[b.bit_length() - 1]
-            m ^= b
-    return (grow & ~eliminated & ~vbit).bit_count()
 
 
 def _eliminate(nbrs: dict[int, set[int]], v: int) -> None:
@@ -228,30 +214,26 @@ def minor_min_width(g: Graph) -> int:
     return lb
 
 
-def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
-    """An elimination order of width <= k, or None if none exists.
-
-    May raise BudgetExceeded.
-    """
+def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """`treewidth_order` and the number of subset states it expanded."""
     n = g.n
     if n == 0:
-        return []
+        return [], 0
     if k >= n - 1:
-        return list(range(n))
+        return list(range(n)), 0
     order, width = min_fill_order(g)
     if width <= k:
-        return order
+        return order, 0
     if minor_min_width(g) > k:
-        return None
-    adj = _adj_masks(g)
+        return None, 0
     full = (1 << n) - 1
     visited: set[int] = set()
     expanded = 0
     suffix: list[int] = []
 
-    def dfs(elim: int, prefix: list[int]) -> bool:
+    def dfs(elim: int, fill: list[int], deg: list[int], stuck: int, prefix: list[int]) -> bool:
         nonlocal expanded
-        remaining = n - elim.bit_count()
+        remaining = n - len(prefix)
         if remaining <= k + 1:
             suffix.extend(prefix)
             m = full & ~elim
@@ -263,38 +245,64 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
         expanded += 1
         if budget is not None and expanded > budget:
             raise BudgetExceeded(f"tree-width search exceeded {budget} states")
-        cands = []
-        stuck = 0
-        m = full & ~elim
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            fd = _fill_degree(adj, elim, v)
-            if fd <= k:
-                cands.append((fd, v))
-            else:
-                stuck += 1
-            m ^= b
         if stuck > k + 1:
             return False
-        cands.sort()
+        # an eliminated vertex's degree is n > k, so it is never a candidate
+        cands = sorted([(d, v) for v, d in enumerate(deg) if d <= k])
         # a fill-degree <= 1 vertex is simplicial; eliminating it first is safe
         if cands and cands[0][0] <= 1:
             cands = cands[:1]
-        for fd, v in cands:
-            child = elim | (1 << v)
+        for _, v in cands:
+            vbit = 1 << v
+            child = elim | vbit
             if child in visited:
                 continue
             visited.add(child)
+            # only v's fill neighbours gain rows: w reaches what v reached
+            row = fill[v]
+            cfill = fill[:]
+            cdeg = deg[:]
+            cdeg[v] = n
+            cstuck = stuck
+            m = row
+            while m:
+                b = m & -m
+                w = b.bit_length() - 1
+                m ^= b
+                merged = (cfill[w] | row) & ~(b | vbit)
+                cfill[w] = merged
+                d = merged.bit_count()
+                cstuck += (d > k) - (cdeg[w] > k)
+                cdeg[w] = d
             prefix.append(v)
-            if dfs(child, prefix):
+            if dfs(child, cfill, cdeg, cstuck, prefix):
                 return True
             prefix.pop()
         return False
 
-    if dfs(0, []):
-        return suffix
-    return None
+    fill = _adj_masks(g)
+    deg = [row.bit_count() for row in fill]
+    if dfs(0, fill, deg, sum(d > k for d in deg), []):
+        return suffix, expanded
+    return None, expanded
+
+
+def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
+    """An elimination order of width <= k, or None if none exists.
+
+    Depth-first search over the sets of eliminated vertices, each set
+    expanded once.  A state holds one fill row per vertex: for a live w,
+    the live vertices reachable from w through eliminated ones, which are
+    w's neighbours in the elimination graph, and w's fill degree is the
+    row's size.  More than k + 1 live vertices of fill degree above k end
+    the branch; otherwise the candidates of fill degree <= k are tried in
+    (fill degree, id) order, a simplicial one alone.  Eliminating v
+    changes only the rows of v's fill neighbours.  Once k + 1 vertices
+    remain, any order finishes.
+
+    May raise BudgetExceeded after `budget` expanded states.
+    """
+    return _search(g, k, budget)[0]
 
 
 def treewidth_decide(g: Graph, k: int, budget: int | None = None) -> bool:
@@ -333,23 +341,27 @@ class TreewidthResult:
     decomposition: TreeDecomposition | None
     lb: int
     ub: int
+    expanded: int  # subset states over all decision steps; an exhausted one counts its budget
 
 
 def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
     """Exact tree-width with a verified decomposition.
 
     Bounds shrink from a min-fill upper bound toward a contraction lower
-    bound; each decision step is the memoized subset search.  On budget
-    exhaustion the best bounds so far are reported as UNKNOWN.
+    bound; each decision step is the memoized subset search, with its own
+    budget.  On budget exhaustion the best bounds so far are reported as
+    UNKNOWN.
     """
     if g.n == 0:
-        return TreewidthResult("exact", -1, TreeDecomposition(((0, frozenset()),), ()), -1, -1)
+        return TreewidthResult("exact", -1, TreeDecomposition(((0, frozenset()),), ()), -1, -1, 0)
     order, ub = min_fill_order(g)
     best_order = order
     lb = max(minor_min_width(g), 0)
+    expanded = 0
     try:
         while lb < ub:
-            found = treewidth_order(g, ub - 1, budget)
+            found, states = _search(g, ub - 1, budget)
+            expanded += states
             if found is None:
                 lb = ub
                 break
@@ -357,9 +369,9 @@ def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
             td = decomposition_from_order(g, found)
             ub = td.width
     except BudgetExceeded:
-        return TreewidthResult("unknown", None, None, lb, ub)
+        return TreewidthResult("unknown", None, None, lb, ub, expanded + budget)
     td = decomposition_from_order(g, best_order)
     report = verify_tree_decomposition(g, td)
     if not report.valid or report.width != ub:
         raise AssertionError(f"solver produced an invalid decomposition: {report.violation}")
-    return TreewidthResult("exact", ub, td, lb, ub)
+    return TreewidthResult("exact", ub, td, lb, ub, expanded)

@@ -4,15 +4,16 @@ Kept deliberately naive and separate from the library code paths: the
 twin-width brute force enumerates raw (u,v)-choice trees with no
 memoization; the greedy and twin-merge oracles rebuild an immutable
 trigraph with `graphs.contract` for every pair they score; the
-tree-width oracle is a top-down set-based recursion; the separator
-oracle enumerates vertex subsets exhaustively.
+tree-width oracle is a top-down set-based recursion, and the naive
+subset DFS walks the eliminated set afresh for every fill degree; the
+separator oracle enumerates vertex subsets exhaustively.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from twinwidth.graphs import Graph, contract, max_red_degree, trigraph_from_graph
-from twinwidth.treewidth import TDReport, TreeDecomposition
+from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 
 
 # ------------------------------------------------- twin-width brute force
@@ -229,6 +230,95 @@ def naive_verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport
         if seen != hold:
             return TDReport(False, None, f"bags holding vertex {v} are not connected in the tree")
     return TDReport(True, td.width, None)
+
+
+def _naive_fill_degree(adj: list[int], eliminated: int, v: int) -> int:
+    """Neighbours of v outside `eliminated`, reachable through it."""
+    vbit = 1 << v
+    seen = vbit
+    grow = adj[v]
+    while True:
+        inside = grow & eliminated & ~seen
+        if not inside:
+            break
+        seen |= inside
+        m = inside
+        while m:
+            b = m & -m
+            grow |= adj[b.bit_length() - 1]
+            m ^= b
+    return (grow & ~eliminated & ~vbit).bit_count()
+
+
+def naive_treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
+    """The subset DFS of `treewidth.treewidth_order`, with every live
+    vertex's fill degree found by a fresh walk through the eliminated set
+    in every state.  Same states, same order, same budget cut-offs."""
+    n = g.n
+    if n == 0:
+        return []
+    if k >= n - 1:
+        return list(range(n))
+    order, width = naive_min_fill_order(g)
+    if width <= k:
+        return order
+    if naive_minor_min_width(g) > k:
+        return None
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    visited: set[int] = set()
+    expanded = 0
+    suffix: list[int] = []
+
+    def dfs(elim: int, prefix: list[int]) -> bool:
+        nonlocal expanded
+        remaining = n - elim.bit_count()
+        if remaining <= k + 1:
+            suffix.extend(prefix)
+            m = full & ~elim
+            while m:
+                b = m & -m
+                suffix.append(b.bit_length() - 1)
+                m ^= b
+            return True
+        expanded += 1
+        if budget is not None and expanded > budget:
+            raise BudgetExceeded(f"tree-width search exceeded {budget} states")
+        cands = []
+        stuck = 0
+        m = full & ~elim
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            fd = _naive_fill_degree(adj, elim, v)
+            if fd <= k:
+                cands.append((fd, v))
+            else:
+                stuck += 1
+            m ^= b
+        if stuck > k + 1:
+            return False
+        cands.sort()
+        # a fill-degree <= 1 vertex is simplicial; eliminating it first is safe
+        if cands and cands[0][0] <= 1:
+            cands = cands[:1]
+        for fd, v in cands:
+            child = elim | (1 << v)
+            if child in visited:
+                continue
+            visited.add(child)
+            prefix.append(v)
+            if dfs(child, prefix):
+                return True
+            prefix.pop()
+        return False
+
+    if dfs(0, []):
+        return suffix
+    return None
 
 
 # ----------------------------------------------------- tree-width oracle

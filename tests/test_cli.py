@@ -200,6 +200,14 @@ class TestTreewidthCli:
         td = read_pace_td("\n".join(out.splitlines()[1:]) + "\n")
         assert verify_tree_decomposition(complete_graph(4), td).valid
 
+    def test_budget_prints_bounds_and_states(self, tmp_path, capsys):
+        from twinwidth.graphs import grid_graph
+
+        f = tmp_path / "grid5.gr"
+        f.write_text(write_dimacs(grid_graph(5)))
+        assert main_treewidth([str(f), "--budget", "5"]) == 2
+        assert capsys.readouterr().out == "tw: unknown (bounds 4..5 after 5 states)\n"
+
     def test_umbrella_dispatch(self, tmp_path, capsys):
         f = tmp_path / "p3.gr"
         f.write_text(write_dimacs(path_graph(3)))

@@ -5,7 +5,13 @@ import time
 import pytest
 
 from corpus import random_graph, random_tree
-from oracles import naive_min_fill_order, naive_minor_min_width, naive_verify_tree_decomposition, oracle_treewidth
+from oracles import (
+    naive_min_fill_order,
+    naive_minor_min_width,
+    naive_treewidth_order,
+    naive_verify_tree_decomposition,
+    oracle_treewidth,
+)
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges, grid_graph, path_graph
 from twinwidth.treewidth import (
     BudgetExceeded,
@@ -18,6 +24,7 @@ from twinwidth.treewidth import (
     treewidth_order,
     verify_tree_decomposition,
 )
+from twinwidth.treewidth import _search as search_with_states
 
 
 class TestExact:
@@ -34,6 +41,7 @@ class TestExact:
     def test_grids(self):
         assert treewidth_exact(grid_graph(3)).width == 3
         assert treewidth_exact(grid_graph(4)).width == 4
+        assert treewidth_exact(grid_graph(5)).width == 5
 
     def test_cycle(self):
         assert treewidth_exact(cycle_graph(8)).width == 2
@@ -65,6 +73,21 @@ class TestExact:
         r = treewidth_exact(g, budget=5)
         assert r.status == "unknown"
         assert r.lb <= 5 <= r.ub
+        assert r.expanded == 5  # min-fill's 5 against the lower bound 4: one decision, exhausted
+
+    def test_expanded_sums_the_decisions(self):
+        assert treewidth_exact(grid_graph(4)).expanded == 0  # min-fill meets the lower bound
+        rng = random.Random(2318)
+        for i in range(12):
+            g = _sparse(rng, 18 + i % 6)
+            lb, ub, states = minor_min_width(g), min_fill_order(g)[1], 0
+            while lb < ub:
+                order, spent = search_with_states(g, ub - 1, None)
+                states += spent
+                if order is None:
+                    break
+                ub = decomposition_from_order(g, order).width
+            assert treewidth_exact(g).expanded == states
 
 
 class TestDecide:
@@ -149,6 +172,15 @@ class TestHelpers:
         assert verify_tree_decomposition(g, r.decomposition).valid
 
 
+def _sparse(rng: random.Random, n: int):
+    """A random tree plus 0.5n-1.5n chords, like the benchmark's gated graphs."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    extra = rng.randint(n // 2, 3 * n // 2)
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph_from_edges(n, edges)
+
+
 def _pinned_corpus() -> list:
     """Seeded graphs on which the heuristics must match the naive rescans."""
     rng = random.Random(8128)
@@ -158,13 +190,7 @@ def _pinned_corpus() -> list:
     graphs += [grid_graph(r, c) for r in range(1, 7) for c in range(r, 9)]
     for i in range(120):  # every density from nearly empty to nearly complete
         graphs.append(random_graph(rng, rng.randint(2, 40), (i % 10 + 0.5) / 10))
-    for i in range(60):  # a random tree plus 0.5n-1.5n chords, n = 18-23
-        n = 18 + i % 6
-        edges = {(rng.randrange(v), v) for v in range(1, n)}
-        extra = rng.randint(n // 2, 3 * n // 2)
-        while len(edges) < n - 1 + extra:
-            edges.add(tuple(sorted(rng.sample(range(n), 2))))
-        graphs.append(graph_from_edges(n, edges))
+    graphs += [_sparse(rng, 18 + i % 6) for i in range(60)]
     for _ in range(6):
         graphs.append(random_tree(rng, rng.randint(2, 300)))
         spine = rng.randint(2, 200)
@@ -200,6 +226,26 @@ def _corrupt(rng: random.Random, g, td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(tuple((b, frozenset(s)) for b, s in bags), tuple(edges))
 
 
+def _outcome(search, g, k: int, budget: int | None):
+    try:
+        return search(g, k, budget)
+    except BudgetExceeded:
+        return "budget"
+
+
+def _same_search(g, k: int) -> int:
+    """The subset search gives the naive DFS's outcome at each budget and
+    stops at the same state count; returns that count."""
+    order, states = search_with_states(g, k, None)
+    assert _outcome(naive_treewidth_order, g, k, states) == order, (k, sorted(g.edges))
+    if states:
+        assert _outcome(treewidth_order, g, k, states - 1) == "budget"
+        assert _outcome(naive_treewidth_order, g, k, states - 1) == "budget"
+    for budget in (1, 10, 100, 4000):
+        assert _outcome(treewidth_order, g, k, budget) == _outcome(naive_treewidth_order, g, k, budget), (k, budget)
+    return states
+
+
 class TestAgainstNaive:
     """The heuristics and the verifier must give exactly what the naive
     full rescans in `oracles` give."""
@@ -211,6 +257,36 @@ class TestAgainstNaive:
     def test_minor_min_width(self):
         for g in _pinned_corpus():
             assert minor_min_width(g) == naive_minor_min_width(g), sorted(g.edges)
+
+    def test_treewidth_order_small(self):
+        cases = [(graph_from_edges(n, []), k) for n in (0, 1, 5) for k in range(3)]
+        rng = random.Random(9090)  # criterion 9's graphs
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 8))
+            cases += [(g, k) for k in range(g.n)]
+        rng = random.Random(15)
+        for i in range(200):  # n <= 15, every density from nearly empty to nearly complete
+            g = random_graph(rng, rng.randint(2, 15), (i % 10 + 0.5) / 10)
+            cases += [(g, k) for k in range(7)]
+        assert sum(_same_search(g, k) for g, k in cases) > 1000
+
+    def test_treewidth_order_sparse(self):
+        rng = random.Random(2318)
+        cases = []
+        for i in range(24):  # the benchmark's gate: k = minor_min_width and k + 1
+            g = _sparse(rng, 18 + i % 6)
+            k = minor_min_width(g)
+            cases += [(g, k), (g, k + 1)]
+        # isolated vertices spread among a gated graph's
+        g = _sparse(rng, 20)
+        place = rng.sample(range(25), 20)
+        cases.append((graph_from_edges(25, [(place[u], place[v]) for u, v in g.edges]), minor_min_width(g)))
+        assert sum(_same_search(g, k) for g, k in cases) > 50_000
+
+    @pytest.mark.parametrize("side", [3, 4, 5])
+    def test_treewidth_order_grids(self, side):
+        for k in (side - 1, side):
+            _same_search(grid_graph(side), k)
 
     def test_verifier_verdicts_and_messages(self):
         rng = random.Random(4242)
@@ -232,6 +308,13 @@ class TestAgainstNaive:
 class TestScale:
     """Thousands of vertices: each elimination, contraction and check
     costs what it changes, not a rescan of the whole graph."""
+
+    def test_grid6_search_state_cost(self):
+        # every fill degree was a fresh walk through the eliminated set: 8.9 s here
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            treewidth_order(grid_graph(6), 5, budget=200_000)
+        assert time.perf_counter() - start < 4.0
 
     @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
     def test_exact_on_5000_vertices(self, g):
