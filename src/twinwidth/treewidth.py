@@ -233,8 +233,7 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
 
     def dfs(elim: int, fill: list[int], deg: list[int], stuck: int, prefix: list[int]) -> bool:
         nonlocal expanded
-        remaining = n - len(prefix)
-        if remaining <= k + 1:
+        if n - len(prefix) <= k + 1:
             suffix.extend(prefix)
             m = full & ~elim
             while m:

@@ -277,11 +277,14 @@ class TestAgainstNaive:
             g = _sparse(rng, 18 + i % 6)
             k = minor_min_width(g)
             cases += [(g, k), (g, k + 1)]
-        # isolated vertices spread among a gated graph's
-        g = _sparse(rng, 20)
-        place = rng.sample(range(25), 20)
-        cases.append((graph_from_edges(25, [(place[u], place[v]) for u, v in g.edges]), minor_min_width(g)))
         assert sum(_same_search(g, k) for g, k in cases) > 50_000
+        # a graph that needs the search, with its vertices spread among five isolated ones
+        while True:
+            place = rng.sample(range(25), 20)
+            g = graph_from_edges(25, [(place[u], place[v]) for u, v in _sparse(rng, 20).edges])
+            if min_fill_order(g)[1] > minor_min_width(g):
+                break
+        assert _same_search(g, minor_min_width(g)) > 0
 
     @pytest.mark.parametrize("side", [3, 4, 5])
     def test_treewidth_order_grids(self, side):
@@ -310,7 +313,7 @@ class TestScale:
     costs what it changes, not a rescan of the whole graph."""
 
     def test_grid6_search_state_cost(self):
-        # every fill degree was a fresh walk through the eliminated set: 8.9 s here
+        # every fill degree was a fresh walk through the eliminated set: about 9 s on a 2-core x86-64 VM
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             treewidth_order(grid_graph(6), 5, budget=200_000)
