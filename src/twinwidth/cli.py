@@ -2,7 +2,9 @@
 
 One process per subcommand; exit 0 on definitive answers (and --help),
 2 on UNKNOWN/budget exhaustion, 1 on unparseable input or a usage error.
-JSON outputs are stable: sorted keys, fixed field names.
+JSON outputs are stable: sorted keys, fixed field names.  Budgets count
+expanded search states: `tww` defaults to `solver.DEFAULT_BUDGET` (10^7),
+`treewidth` and `lab pipeline` to `treewidth.DEFAULT_BUDGET` (10^6).
 """
 
 import argparse
@@ -16,7 +18,7 @@ from .pipeline import PipelineResult, WidthBoundMissed, pipeline_certify
 from .sequences import SequenceError, apply_prefix, invert, width_trace
 from .solver import DEFAULT_BUDGET, decide_twinwidth_at_most, greedy_sequence, twinwidth_exact, twinwidth_zero
 from .structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
-from .treewidth import treewidth_exact
+from . import treewidth
 from .witness import (
     MeshWitness,
     WitnessState,
@@ -252,7 +254,7 @@ def main_lab(argv=None) -> int:
     p.add_argument("graph")
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=treewidth.DEFAULT_BUDGET)
 
     args = ap.parse_args(argv)
     try:
@@ -321,11 +323,11 @@ def main_lab(argv=None) -> int:
 def main_treewidth(argv=None) -> int:
     ap = _ArgumentParser(prog="treewidth", description="Exact tree-width with a PACE decomposition.")
     ap.add_argument("graph")
-    ap.add_argument("--budget", type=int, default=None)
+    ap.add_argument("--budget", type=int, default=treewidth.DEFAULT_BUDGET)
     args = ap.parse_args(argv)
     try:
         g = _graph(args.graph)
-        r = treewidth_exact(g, args.budget)
+        r = treewidth.treewidth_exact(g, args.budget)
         if r.status != "exact":
             print(f"tw: unknown (bounds {r.lb}..{r.ub} after {r.expanded} states)")
             return 2

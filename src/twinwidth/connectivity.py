@@ -1,9 +1,12 @@
 """Vertex-disjoint A-B paths and minimum vertex separators.
 
-Unit vertex capacities via the standard in/out splitting; augmenting-path
-max-flow with deterministic vertex-order scanning.  The path count always
-equals the separator size, and a vertex in both A and B counts as a
-zero-length path that occupies the vertex.
+Unit vertex capacities via the standard in/out splitting, held as one
+residual network (Ford & Fulkerson): each arc and its reverse carry a
+residual capacity, and an augmentation moves one unit from the arc to
+its reverse.  Breadth-first augmenting paths scan each node's arcs in
+node-id order, so flows, paths and cuts are deterministic.  The path
+count always equals the separator size, and a vertex in both A and B
+counts as a zero-length path that occupies the vertex.
 """
 
 from collections import deque
@@ -14,10 +17,14 @@ _INF = 1 << 30
 
 
 class _VertexFlow:
-    """Flow network: source -> v_in -> v_out -> sink, vertex arcs cap 1."""
+    """Residual network: source -> v_in -> v_out -> sink, vertex arcs cap 1.
+
+    `res[x][y]` is the residual capacity of arc x -> y; every arc has its
+    reverse beside it at 0, and no arc has an antiparallel twin, so an
+    arc's flow is its reverse arc's residual.
+    """
 
     def __init__(self, g: Graph, A, B, within):
-        self.g = g
         allowed = set(range(g.n)) if within is None else set(within)
         for side, name in ((A, "A"), (B, "B")):
             for v in side:
@@ -30,109 +37,65 @@ class _VertexFlow:
         self.A = frozenset(A)
         self.B = frozenset(B)
         # node ids: 0 = source, 1 = sink, v_in = 2+2v, v_out = 3+2v
-        self.cap: dict[tuple[int, int], int] = {}
-        for v in sorted(allowed):
-            self._add(2 + 2 * v, 3 + 2 * v, 1)
-        for u, v in sorted(g.edges):
+        arcs = [(2 + 2 * v, 3 + 2 * v, 1) for v in allowed]
+        for u, v in g.edges:
             if u in allowed and v in allowed:
-                self._add(3 + 2 * u, 2 + 2 * v, _INF)
-                self._add(3 + 2 * v, 2 + 2 * u, _INF)
-        for a in sorted(self.A):
-            self._add(0, 2 + 2 * a, _INF)
-        for b in sorted(self.B):
-            self._add(3 + 2 * b, 1, _INF)
-        self.out: dict[int, list[int]] = {}
-        for x, y in self.cap:
-            self.out.setdefault(x, []).append(y)
-            self.out.setdefault(y, []).append(x)  # reverse residual arcs
-        self.out = {x: sorted(set(ys)) for x, ys in self.out.items()}
-        self.flow: dict[tuple[int, int], int] = {e: 0 for e in self.cap}
+                arcs += [(3 + 2 * u, 2 + 2 * v, _INF), (3 + 2 * v, 2 + 2 * u, _INF)]
+        arcs += [(0, 2 + 2 * a, _INF) for a in self.A]
+        arcs += [(3 + 2 * b, 1, _INF) for b in self.B]
+        res: dict[int, dict[int, int]] = {}
+        for x, y, c in arcs:
+            res.setdefault(x, {})[y] = c
+            res.setdefault(y, {})[x] = 0
+        # scan each node's arcs, forward and reverse, in node-id order
+        self.res = {x: dict(sorted(out.items())) for x, out in res.items()}
+        self.arcs = [(x, y) for x, y, _ in arcs]
 
-    def _add(self, x: int, y: int, c: int) -> None:
-        self.cap[(x, y)] = self.cap.get((x, y), 0) + c
-
-    def _residual(self, x: int, y: int) -> int:
-        r = 0
-        if (x, y) in self.cap:
-            r += self.cap[(x, y)] - self.flow[(x, y)]
-        if (y, x) in self.cap:
-            r += self.flow[(y, x)]
-        return r
-
-    def _push(self, x: int, y: int, amount: int) -> None:
-        if (x, y) in self.cap and self.cap[(x, y)] - self.flow[(x, y)] > 0:
-            d = min(amount, self.cap[(x, y)] - self.flow[(x, y)])
-            self.flow[(x, y)] += d
-            amount -= d
-        if amount:
-            self.flow[(y, x)] -= amount
-
-    def max_flow(self) -> int:
-        total = 0
+    def max_flow(self) -> tuple[int, set[int]]:
+        """Augment one unit along a shortest residual path until none is
+        left; returns the flow value and the nodes the source still reaches."""
+        res = self.res
+        value = 0
         while True:
             parent = {0: 0}
             queue = deque([0])
             while queue and 1 not in parent:
                 x = queue.popleft()
-                for y in self.out.get(x, []):
-                    if y not in parent and self._residual(x, y) > 0:
+                for y, r in res[x].items():
+                    if r > 0 and y not in parent:
                         parent[y] = x
                         queue.append(y)
             if 1 not in parent:
-                return total
+                return value, set(parent)
             y = 1
             while y != 0:
                 x = parent[y]
-                self._push(x, y, 1)
+                res[x][y] -= 1
+                res[y][x] += 1
                 y = x
-            total += 1
-
-    def source_side(self) -> set[int]:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in self.out.get(x, []):
-                if y not in seen and self._residual(x, y) > 0:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+            value += 1
 
     def paths(self) -> list[list[int]]:
         """Decompose the integral flow into vertex paths."""
-        used = dict(self.flow)
+        used = {(x, y): self.res[y][x] for x, y in self.arcs}
         result = []
         while True:
             # trace one unit from the source along positive flow arcs
-            start = None
-            for y in self.out.get(0, []):
-                if used.get((0, y), 0) > 0:
-                    start = y
-                    break
+            start = next((y for y in self.res[0] if used.get((0, y), 0) > 0), None)
             if start is None:
                 break
             used[(0, start)] -= 1
             node, path = start, []
             while node != 1:
-                if node >= 2 and node % 2 == 0:
+                if node % 2 == 0:
                     path.append((node - 2) // 2)
-                nxt = None
-                for y in self.out.get(node, []):
-                    if used.get((node, y), 0) > 0:
-                        nxt = y
-                        break
+                nxt = next((y for y in self.res[node] if used.get((node, y), 0) > 0), None)
                 if nxt is None:
                     raise AssertionError("flow decomposition lost a unit")
                 used[(node, nxt)] -= 1
                 node = nxt
             result.append(path)
         return sorted(result)
-
-
-def _solve(g: Graph, A, B, within):
-    net = _VertexFlow(g, A, B, within)
-    value = net.max_flow()
-    return net, value
 
 
 def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]]]:
@@ -142,7 +105,8 @@ def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]
     ending in B (a single vertex for members of A & B).  `within`
     restricts the search to an induced subgraph.
     """
-    net, value = _solve(g, A, B, within)
+    net = _VertexFlow(g, A, B, within)
+    value, _ = net.max_flow()
     paths = net.paths()
     if len(paths) != value:
         raise AssertionError("path decomposition does not match the flow value")
@@ -158,8 +122,8 @@ def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]
 
 def min_vertex_cut(g: Graph, A, B, within=None) -> frozenset[int]:
     """A minimum vertex set meeting every A-B path (may include A or B vertices)."""
-    net, value = _solve(g, A, B, within)
-    side = net.source_side()
+    net = _VertexFlow(g, A, B, within)
+    value, side = net.max_flow()
     cut = frozenset(
         v for v in net.allowed if (2 + 2 * v) in side and (3 + 2 * v) not in side
     )

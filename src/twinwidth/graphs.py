@@ -28,6 +28,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -87,6 +89,8 @@ def grid_graph(rows: int, cols: int | None = None) -> Graph:
     """Square-lattice grid; vertex (r, c) has id r*cols + c."""
     if cols is None:
         cols = rows
+    if rows < 0 or cols < 0:
+        raise ValueError(f"grid sides must be non-negative, got {rows}x{cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):

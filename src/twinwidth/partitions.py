@@ -3,9 +3,12 @@
 The quotient of (G, P) has one vertex per part; parts P1, P2 are joined
 iff some G-edge crosses P1 x P2, and the edge is red iff the crossing is
 not complete.  A part pair with zero crossing edges is a non-edge, not a
-black edge.
+black edge.  One pass over G's edges counts the crossings of every part
+pair, so a quotient costs O(n + m) whatever the number of parts;
+`split_part` rebuilds it that way too.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,35 +86,16 @@ class PartitionedTrigraph:
     quotient: Trigraph
 
 
-def _cross_color(g: Graph, a: frozenset[int], b: frozenset[int]) -> str | None:
-    """None / "black" / "red" for the a x b crossing in g."""
-    if len(a) > len(b):
-        a, b = b, a
-    count = 0
-    for u in a:
-        count += len(g.adj[u] & b)
-    if count == 0:
-        return None
-    return "black" if count == len(a) * len(b) else "red"
-
-
 def quotient(g: Graph, p: VertexPartition) -> PartitionedTrigraph:
-    """The partitioned trigraph of (g, p)."""
+    """The partitioned trigraph of (g, p), from one pass over g's edges:
+    a part pair is black iff its crossing count is |A|·|B|, else red."""
     if p.n != g.n:
         raise ValueError(f"partition is over {p.n} vertices, graph has {g.n}")
-    black: set[tuple[int, int]] = set()
-    red: set[tuple[int, int]] = set()
-    items = p.parts
-    for i in range(len(items)):
-        pid_i, mem_i = items[i]
-        for j in range(i + 1, len(items)):
-            pid_j, mem_j = items[j]
-            color = _cross_color(g, mem_i, mem_j)
-            if color == "black":
-                black.add(pair(pid_i, pid_j))
-            elif color == "red":
-                red.add(pair(pid_i, pid_j))
-    return PartitionedTrigraph(p, Trigraph(frozenset(p.ids()), frozenset(black), frozenset(red)))
+    owner = p.part_of
+    crossing = Counter(pair(owner[u], owner[v]) for u, v in g.edges if owner[u] != owner[v])
+    size = {pid: len(members) for pid, members in p.parts}
+    black = frozenset(e for e, count in crossing.items() if count == size[e[0]] * size[e[1]])
+    return PartitionedTrigraph(p, Trigraph(frozenset(p.ids()), black, frozenset(crossing.keys() - black)))
 
 
 def split_part(
@@ -121,12 +105,8 @@ def split_part(
     child_a: tuple[int, frozenset[int]],
     child_b: tuple[int, frozenset[int]],
 ) -> PartitionedTrigraph:
-    """Refine one part into two, updating only the affected quotient edges.
-
-    Equivalent to recomputing quotient() from scratch on the refined
-    partition; kept incremental because sequence audits split one part per
-    step.
-    """
+    """Refine one part into two; the refined partition's quotient, built
+    by `quotient` in one pass over g's edges."""
     p = pt.partition
     members = p.members(parent)
     ida, seta = child_a
@@ -139,18 +119,4 @@ def split_part(
     new_parts = tuple(sorted(
         [(pid, mem) for pid, mem in p.parts if pid != parent] + [(ida, frozenset(seta)), (idb, frozenset(setb))]
     ))
-    new_p = VertexPartition(p.n, new_parts)
-    black = {e for e in pt.quotient.black if parent not in e}
-    red = {e for e in pt.quotient.red if parent not in e}
-    # the child-child pair is recomputed twice with the same color; sets dedupe
-    for cid, cset in ((ida, frozenset(seta)), (idb, frozenset(setb))):
-        for pid, mem in new_parts:
-            if pid == cid:
-                continue
-            color = _cross_color(g, cset, mem)
-            e = pair(cid, pid)
-            if color == "black":
-                black.add(e)
-            elif color == "red":
-                red.add(e)
-    return PartitionedTrigraph(new_p, Trigraph(frozenset(new_p.ids()), frozenset(black), frozenset(red)))
+    return quotient(g, VertexPartition(p.n, new_parts))

@@ -219,7 +219,7 @@ class FamilyLabeling:
 def gen_tww3_family(n: int) -> tuple[Graph, FamilyLabeling]:
     """N disjoint N-vertex paths plus N apexes; apex i sees the i-th
     vertex of every path.  N^2 + N vertices, no K_{2,2} subgraph,
-    twin-width at most 3, tree-width at least N.
+    twin-width at most 3, tree-width exactly N.
     """
     if n < 1:
         raise ValueError("family parameter must be positive")

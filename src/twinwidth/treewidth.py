@@ -17,6 +17,8 @@ from functools import cached_property
 
 from .graphs import Graph, pair
 
+DEFAULT_BUDGET = 10**6  # subset states; the CLIs' default, the library's is unbounded
+
 
 class BudgetExceeded(RuntimeError):
     """Raised when a bounded search runs out of its state budget."""

@@ -360,10 +360,6 @@ def find_mesh_witness(
     pt = quotient(g, p)
     reds = pt.quotient.red_adj
 
-    def chain_from(center: int, avoid: int | None):
-        nbrs = sorted(reds[center] - ({avoid} if avoid is not None else set()))
-        return nbrs
-
     if len(reds[z]) > 2:
         return MeshSearchMiss("red degree above 2 on chain", f"part {z} has red degree {len(reds[z])}")
     zn = sorted(reds[z])
@@ -371,12 +367,12 @@ def find_mesh_witness(
     r1 = zn[1] if len(zn) > 1 else None
     l2 = r2 = None
     if l1 is not None:
-        beyond = chain_from(l1, z)
+        beyond = sorted(reds[l1] - {z})
         if len(beyond) > 1:
             return MeshSearchMiss("red degree above 2 on chain", f"part {l1} has red degree {len(reds[l1])}")
         l2 = beyond[0] if beyond else None
     if r1 is not None:
-        beyond = chain_from(r1, z)
+        beyond = sorted(reds[r1] - {z})
         if len(beyond) > 1:
             return MeshSearchMiss("red degree above 2 on chain", f"part {r1} has red degree {len(reds[r1])}")
         r2 = beyond[0] if beyond else None
@@ -429,7 +425,7 @@ def find_mesh_witness(
     for okside, a1, a2 in ((left_ok, l1, l2), (right_ok, r1, r2)):
         if not okside:
             continue
-        outer = [pid for pid in chain_from(a2, a1) if pid not in family]
+        outer = [pid for pid in sorted(reds[a2] - {a1}) if pid not in family]
         if not outer:
             continue
         a3 = outer[0]

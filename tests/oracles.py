@@ -6,13 +6,17 @@ memoization; the greedy and twin-merge oracles rebuild an immutable
 trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree; the
-separator oracle enumerates vertex subsets exhaustively.
+naive quotient colours each part pair by its own crossing count, and
+the naive flow keeps capacities and flows apart; the separator oracle
+enumerates vertex subsets exhaustively.
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from twinwidth.graphs import Graph, contract, max_red_degree, trigraph_from_graph
+from twinwidth.graphs import Graph, Trigraph, contract, max_red_degree, pair, trigraph_from_graph
+from twinwidth.partitions import PartitionedTrigraph, VertexPartition
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 
 
@@ -250,20 +254,21 @@ def _naive_fill_degree(adj: list[int], eliminated: int, v: int) -> int:
     return (grow & ~eliminated & ~vbit).bit_count()
 
 
-def naive_treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
-    """The subset DFS of `treewidth.treewidth_order`, with every live
-    vertex's fill degree found by a fresh walk through the eliminated set
-    in every state.  Same states, same order, same budget cut-offs."""
+def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """The subset DFS of `treewidth._search`, with every live vertex's
+    fill degree found by a fresh walk through the eliminated set in every
+    state.  Same states, same order, same budget cut-offs; returns the
+    order and the number of states expanded."""
     n = g.n
     if n == 0:
-        return []
+        return [], 0
     if k >= n - 1:
-        return list(range(n))
+        return list(range(n)), 0
     order, width = naive_min_fill_order(g)
     if width <= k:
-        return order
+        return order, 0
     if naive_minor_min_width(g) > k:
-        return None
+        return None, 0
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
@@ -317,8 +322,12 @@ def naive_treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[i
         return False
 
     if dfs(0, []):
-        return suffix
-    return None
+        return suffix, expanded
+    return None, expanded
+
+
+def naive_treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
+    return naive_search(g, k, budget)[0]
 
 
 # ----------------------------------------------------- tree-width oracle
@@ -361,6 +370,240 @@ def oracle_treewidth(g: Graph) -> int:
         return best
 
     return rec(frozenset())
+
+
+# ------------------------------------------------- quotients and flows
+
+
+
+def _naive_cross_color(g: Graph, a: frozenset[int], b: frozenset[int]) -> str | None:
+    """None / "black" / "red" for the a x b crossing in g."""
+    if len(a) > len(b):
+        a, b = b, a
+    count = 0
+    for u in a:
+        count += len(g.adj[u] & b)
+    if count == 0:
+        return None
+    return "black" if count == len(a) * len(b) else "red"
+
+
+def naive_quotient(g: Graph, p: VertexPartition) -> PartitionedTrigraph:
+    """The partitioned trigraph of (g, p), colouring every part pair by
+    its own crossing count."""
+    if p.n != g.n:
+        raise ValueError(f"partition is over {p.n} vertices, graph has {g.n}")
+    black: set[tuple[int, int]] = set()
+    red: set[tuple[int, int]] = set()
+    items = p.parts
+    for i in range(len(items)):
+        pid_i, mem_i = items[i]
+        for j in range(i + 1, len(items)):
+            pid_j, mem_j = items[j]
+            color = _naive_cross_color(g, mem_i, mem_j)
+            if color == "black":
+                black.add(pair(pid_i, pid_j))
+            elif color == "red":
+                red.add(pair(pid_i, pid_j))
+    return PartitionedTrigraph(p, Trigraph(frozenset(p.ids()), frozenset(black), frozenset(red)))
+
+
+def naive_split_part(
+    g: Graph,
+    pt: PartitionedTrigraph,
+    parent: int,
+    child_a: tuple[int, frozenset[int]],
+    child_b: tuple[int, frozenset[int]],
+) -> PartitionedTrigraph:
+    """Refine one part into two, recolouring only the pairs that meet
+    the children and keeping every other quotient edge."""
+    p = pt.partition
+    members = p.members(parent)
+    ida, seta = child_a
+    idb, setb = child_b
+    if not seta or not setb or (seta & setb) or (seta | setb) != members:
+        raise ValueError("children must split the parent part into two nonempty sets")
+    for cid in (ida, idb):
+        if cid != parent and cid in p.by_id:
+            raise ValueError(f"child id {cid} collides with an existing part")
+    new_parts = tuple(sorted(
+        [(pid, mem) for pid, mem in p.parts if pid != parent] + [(ida, frozenset(seta)), (idb, frozenset(setb))]
+    ))
+    new_p = VertexPartition(p.n, new_parts)
+    black = {e for e in pt.quotient.black if parent not in e}
+    red = {e for e in pt.quotient.red if parent not in e}
+    # the child-child pair is recomputed twice with the same color; sets dedupe
+    for cid, cset in ((ida, frozenset(seta)), (idb, frozenset(setb))):
+        for pid, mem in new_parts:
+            if pid == cid:
+                continue
+            color = _naive_cross_color(g, cset, mem)
+            e = pair(cid, pid)
+            if color == "black":
+                black.add(e)
+            elif color == "red":
+                red.add(e)
+    return PartitionedTrigraph(new_p, Trigraph(frozenset(new_p.ids()), frozenset(black), frozenset(red)))
+
+
+_INF = 1 << 30
+
+
+class NaiveVertexFlow:
+    """Flow network: source -> v_in -> v_out -> sink, vertex arcs cap 1,
+    with capacities and flows in two dicts reconciled in both arc
+    directions."""
+
+    def __init__(self, g: Graph, A, B, within):
+        self.g = g
+        allowed = set(range(g.n)) if within is None else set(within)
+        for side, name in ((A, "A"), (B, "B")):
+            for v in side:
+                g._check(v)
+                if v not in allowed:
+                    raise ValueError(f"{name} contains vertex {v} outside the allowed set")
+        if not A or not B:
+            raise ValueError("A and B must be nonempty")
+        self.allowed = allowed
+        self.A = frozenset(A)
+        self.B = frozenset(B)
+        # node ids: 0 = source, 1 = sink, v_in = 2+2v, v_out = 3+2v
+        self.cap: dict[tuple[int, int], int] = {}
+        for v in sorted(allowed):
+            self._add(2 + 2 * v, 3 + 2 * v, 1)
+        for u, v in sorted(g.edges):
+            if u in allowed and v in allowed:
+                self._add(3 + 2 * u, 2 + 2 * v, _INF)
+                self._add(3 + 2 * v, 2 + 2 * u, _INF)
+        for a in sorted(self.A):
+            self._add(0, 2 + 2 * a, _INF)
+        for b in sorted(self.B):
+            self._add(3 + 2 * b, 1, _INF)
+        self.out: dict[int, list[int]] = {}
+        for x, y in self.cap:
+            self.out.setdefault(x, []).append(y)
+            self.out.setdefault(y, []).append(x)  # reverse residual arcs
+        self.out = {x: sorted(set(ys)) for x, ys in self.out.items()}
+        self.flow: dict[tuple[int, int], int] = {e: 0 for e in self.cap}
+
+    def _add(self, x: int, y: int, c: int) -> None:
+        self.cap[(x, y)] = self.cap.get((x, y), 0) + c
+
+    def _residual(self, x: int, y: int) -> int:
+        r = 0
+        if (x, y) in self.cap:
+            r += self.cap[(x, y)] - self.flow[(x, y)]
+        if (y, x) in self.cap:
+            r += self.flow[(y, x)]
+        return r
+
+    def _push(self, x: int, y: int, amount: int) -> None:
+        if (x, y) in self.cap and self.cap[(x, y)] - self.flow[(x, y)] > 0:
+            d = min(amount, self.cap[(x, y)] - self.flow[(x, y)])
+            self.flow[(x, y)] += d
+            amount -= d
+        if amount:
+            self.flow[(y, x)] -= amount
+
+    def max_flow(self) -> int:
+        total = 0
+        while True:
+            parent = {0: 0}
+            queue = deque([0])
+            while queue and 1 not in parent:
+                x = queue.popleft()
+                for y in self.out.get(x, []):
+                    if y not in parent and self._residual(x, y) > 0:
+                        parent[y] = x
+                        queue.append(y)
+            if 1 not in parent:
+                return total
+            y = 1
+            while y != 0:
+                x = parent[y]
+                self._push(x, y, 1)
+                y = x
+            total += 1
+
+    def source_side(self) -> set[int]:
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for y in self.out.get(x, []):
+                if y not in seen and self._residual(x, y) > 0:
+                    seen.add(y)
+                    queue.append(y)
+        return seen
+
+    def paths(self) -> list[list[int]]:
+        """Decompose the integral flow into vertex paths."""
+        used = dict(self.flow)
+        result = []
+        while True:
+            # trace one unit from the source along positive flow arcs
+            start = None
+            for y in self.out.get(0, []):
+                if used.get((0, y), 0) > 0:
+                    start = y
+                    break
+            if start is None:
+                break
+            used[(0, start)] -= 1
+            node, path = start, []
+            while node != 1:
+                if node >= 2 and node % 2 == 0:
+                    path.append((node - 2) // 2)
+                nxt = None
+                for y in self.out.get(node, []):
+                    if used.get((node, y), 0) > 0:
+                        nxt = y
+                        break
+                if nxt is None:
+                    raise AssertionError("flow decomposition lost a unit")
+                used[(node, nxt)] -= 1
+                node = nxt
+            result.append(path)
+        return sorted(result)
+
+
+def _naive_solve(g: Graph, A, B, within):
+    net = NaiveVertexFlow(g, A, B, within)
+    value = net.max_flow()
+    return net, value
+
+
+def naive_max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]]]:
+    """Maximum family of pairwise vertex-disjoint A-B paths.
+
+    Returns (count, paths); each path is a vertex list starting in A and
+    ending in B (a single vertex for members of A & B).  `within`
+    restricts the search to an induced subgraph.
+    """
+    net, value = _naive_solve(g, A, B, within)
+    paths = net.paths()
+    if len(paths) != value:
+        raise AssertionError("path decomposition does not match the flow value")
+    seen: set[int] = set()
+    for p in paths:
+        if not p or p[0] not in net.A or p[-1] not in net.B:
+            raise AssertionError("extracted path does not run from A to B")
+        if seen & set(p):
+            raise AssertionError("extracted paths share a vertex")
+        seen |= set(p)
+    return value, paths
+
+
+def naive_min_vertex_cut(g: Graph, A, B, within=None) -> frozenset[int]:
+    """A minimum vertex set meeting every A-B path (may include A or B vertices)."""
+    net, value = _naive_solve(g, A, B, within)
+    side = net.source_side()
+    cut = frozenset(
+        v for v in net.allowed if (2 + 2 * v) in side and (3 + 2 * v) not in side
+    )
+    if len(cut) != value:
+        raise AssertionError("max-flow/min-cut mismatch")
+    return cut
 
 
 # -------------------------------------------------------- separator oracle

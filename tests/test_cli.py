@@ -92,6 +92,13 @@ class TestGen:
         payload = json.loads(capsys.readouterr().out)
         assert payload["N"] == 2 and len(payload["rows"]) == 2
 
+    @pytest.mark.parametrize("argv", [["-N", "-1"], ["-N", "2", "-M", "-3"]])
+    def test_negative_grid_sides_exit_one(self, argv, capsys):
+        # these printed "p edge 1 0" and "p edge -6 0" and exited 0
+        assert main_gen(["grid", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_seed_echoed_in_header(self, capsys):
         assert main_gen(["wall", "-N", "2", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -207,6 +214,19 @@ class TestTreewidthCli:
         f.write_text(write_dimacs(grid_graph(5)))
         assert main_treewidth([str(f), "--budget", "5"]) == 2
         assert capsys.readouterr().out == "tw: unknown (bounds 4..5 after 5 states)\n"
+
+    def test_budget_defaults_to_the_gate_constant(self, tmp_path, capsys, monkeypatch):
+        # with no --budget the search was unbounded in time and memory
+        from twinwidth import treewidth
+        from twinwidth.graphs import grid_graph
+
+        monkeypatch.setattr(treewidth, "DEFAULT_BUDGET", 5)
+        f = tmp_path / "grid5.gr"
+        f.write_text(write_dimacs(grid_graph(5)))
+        assert main_treewidth([str(f)]) == 2
+        assert capsys.readouterr().out == "tw: unknown (bounds 4..5 after 5 states)\n"
+        assert main_lab(["pipeline", str(f), "-t", "3", "-k", "4"]) == 2
+        assert capsys.readouterr().out == "unknown: budget exhausted in the tree-width gate\n"
 
     def test_umbrella_dispatch(self, tmp_path, capsys):
         f = tmp_path / "p3.gr"

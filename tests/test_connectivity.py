@@ -3,7 +3,7 @@ import random
 import pytest
 
 from corpus import random_graph
-from oracles import min_separator_exhaustive, separates
+from oracles import min_separator_exhaustive, naive_max_disjoint_paths, naive_min_vertex_cut, separates
 from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
 from twinwidth.graphs import graph_from_edges, grid_graph, path_graph
 
@@ -75,3 +75,24 @@ class TestMenger:
         cut = min_vertex_cut(g, {0, 3, 6}, {2, 5, 8})
         assert separates(g, {0, 3, 6}, {2, 5, 8}, cut)
         assert min_separator_exhaustive(g, {0, 3, 6}, {2, 5, 8}) == 3
+
+
+class TestAgainstNaive:
+    """The residual-only network gives exactly the value, paths and cut of
+    the two-dict network in `oracles`."""
+
+    def test_identical_paths_and_cuts(self):
+        rng = random.Random(4040)
+        kinds = set()
+        for i in range(1000):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, (i % 10 + 0.5) / 20)
+            A = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+            B = set(rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+            within = None
+            if i % 2:
+                within = A | B | set(rng.sample(range(n), rng.randint(0, n)))
+            kinds.add((within is None, bool(A & B)))
+            assert max_disjoint_paths(g, A, B, within) == naive_max_disjoint_paths(g, A, B, within)
+            assert min_vertex_cut(g, A, B, within) == naive_min_vertex_cut(g, A, B, within)
+        assert len(kinds) == 4

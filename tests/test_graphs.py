@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_graph
+from oracles import naive_quotient, naive_split_part
 from twinwidth.graphs import (
     Graph,
     are_twins,
@@ -13,6 +14,7 @@ from twinwidth.graphs import (
     contract,
     cycle_graph,
     graph_from_edges,
+    grid_graph,
     max_red_degree,
     pair,
     path_graph,
@@ -23,6 +25,10 @@ from twinwidth.graphs import (
     Trigraph,
 )
 from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition, split_part
+from twinwidth.pipeline import decomposition_sequence
+from twinwidth.sequences import invert, partitions_at
+from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence
+from twinwidth.treewidth import decomposition_from_order, min_fill_order
 
 
 def small_graphs(max_n=8):
@@ -174,14 +180,52 @@ class TestSplitPart:
                     seta = frozenset([lead])
                     setb = members - seta
                     inc = split_part(g, pt, pid, (n + 1, seta), (n + 2, setb))
-                    scratch = quotient(g, inc.partition)
-                    assert inc.quotient == scratch.quotient
+                    assert inc == naive_quotient(g, inc.partition)
+                    assert inc == naive_split_part(g, pt, pid, (n + 1, seta), (n + 2, setb))
 
     def test_rejects_bad_split(self):
         g = cycle_graph(4)
         pt = quotient(g, partition_from_blocks(4, [{0, 1, 2}, {3}]))
         with pytest.raises(ValueError):
             split_part(g, pt, 0, (5, frozenset({0})), (6, frozenset({1})))
+
+
+class TestQuotientAgainstNaive:
+    """The one-pass quotient equals the pairwise colouring in `oracles`."""
+
+    def test_random_partitions(self):
+        rng = random.Random(707)
+        for i in range(2000):  # n <= 30, every density from nearly empty to nearly complete
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, (i % 10 + 0.5) / 10)
+            k = rng.randint(1, n)
+            blocks = [[] for _ in range(k)]
+            for v in range(n):
+                blocks[rng.randrange(k)].append(v)
+            p = partition_from_blocks(n, [b for b in blocks if b])
+            assert quotient(g, p) == naive_quotient(g, p)
+
+    @pytest.mark.parametrize("chain", ["tww3", "wall"])
+    def test_every_partition_along_chains(self, chain):
+        if chain == "tww3":
+            cases = []
+            for n in range(3, 9):
+                g, _ = gen_tww3_family(n)
+                cases.append((g, invert(g, tww3_family_sequence(n))))
+        else:
+            g, _ = gen_wall(6)
+            td = decomposition_from_order(g, min_fill_order(g)[0])
+            cases = [(g, invert(g, decomposition_sequence(g, td)))]
+        for g, u in cases:
+            pt = quotient(g, partitions_at(u, 1))
+            assert pt == naive_quotient(g, pt.partition)
+            for sp in u.splits:
+                halves = (sp.id_a, sp.set_a), (sp.id_b, sp.set_b)
+                nxt = split_part(g, pt, sp.parent, *halves)
+                assert nxt == naive_quotient(g, nxt.partition)
+                assert nxt == naive_split_part(g, pt, sp.parent, *halves)
+                pt = nxt
+            assert pt.quotient.black == g.edges and not pt.quotient.red
 
 
 def _partitions_upto(n, max_parts):
@@ -209,6 +253,15 @@ class TestGraphBasics:
             Graph(3, frozenset([(0, 4)]))
         with pytest.raises(ValueError):
             Trigraph(frozenset([0, 1]), frozenset([(0, 1)]), frozenset([(0, 1)]))
+
+    def test_negative_sizes_rejected(self):
+        # Graph(-3, ...) built, and grid_graph(-1) was a 1-vertex graph
+        with pytest.raises(ValueError):
+            Graph(-3, frozenset())
+        for rows, cols in ((-1, None), (2, -3), (-2, 3)):
+            with pytest.raises(ValueError):
+                grid_graph(rows, cols)
+        assert grid_graph(0).n == grid_graph(2, 0).n == 0
 
     def test_round_trip_merge_then_split(self):
         # contracting two parts and splitting the product back restores the state

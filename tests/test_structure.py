@@ -7,6 +7,7 @@ import random
 from twinwidth.graphs import cycle_graph, path_graph, complete_bipartite
 from twinwidth.partitions import partition_from_blocks, quotient
 from twinwidth.sequences import verify_width
+from twinwidth.treewidth import decomposition_from_order, min_fill_order, minor_min_width, verify_tree_decomposition
 from twinwidth.structure import (
     gen_tww3_family,
     gen_wall,
@@ -113,6 +114,14 @@ class TestFamily:
     def test_sequence_width_at_n20(self):
         g, _ = gen_tww3_family(20)
         assert verify_width(g, tww3_family_sequence(20)) <= 3
+
+    def test_treewidth_is_exactly_n(self):
+        # the lower bound is a minor's minimum degree, the upper a verified decomposition
+        for n in range(1, 41):
+            g, _ = gen_tww3_family(n)
+            order, width = min_fill_order(g)
+            report = verify_tree_decomposition(g, decomposition_from_order(g, order))
+            assert report.valid and report.width == width == minor_min_width(g) == n, n
 
 
 def _family_and_seq(n):

@@ -8,6 +8,7 @@ from corpus import random_graph, random_tree
 from oracles import (
     naive_min_fill_order,
     naive_minor_min_width,
+    naive_search,
     naive_treewidth_order,
     naive_verify_tree_decomposition,
     oracle_treewidth,
@@ -234,13 +235,14 @@ def _outcome(search, g, k: int, budget: int | None):
 
 
 def _same_search(g, k: int) -> int:
-    """The subset search gives the naive DFS's outcome at each budget and
-    stops at the same state count; returns that count."""
+    """The subset search gives the naive DFS's order and state count, and
+    its outcome at each budget; returns that count.  Both searches are
+    deterministic and check the budget before each expansion, so equal
+    unbudgeted counts mean equal cut-offs at every budget."""
     order, states = search_with_states(g, k, None)
-    assert _outcome(naive_treewidth_order, g, k, states) == order, (k, sorted(g.edges))
+    assert naive_search(g, k, None) == (order, states), (k, sorted(g.edges))
     if states:
         assert _outcome(treewidth_order, g, k, states - 1) == "budget"
-        assert _outcome(naive_treewidth_order, g, k, states - 1) == "budget"
     for budget in (1, 10, 100, 4000):
         assert _outcome(treewidth_order, g, k, budget) == _outcome(naive_treewidth_order, g, k, budget), (k, budget)
     return states
