@@ -1,4 +1,5 @@
-"""Contraction sequences, width verification, and the uncontraction view.
+"""Contraction sequences, width verification by replay, and the
+uncontraction view.
 
 Certificate id convention: the original graph's vertices are 0..n-1 and
 the product of the j-th contraction (0-based) is the fresh id n+j, so a
@@ -53,66 +54,29 @@ def sequence_from_pairs(n: int, pairs_list) -> ContractionSequence:
 
 
 class ReplayState:
-    """Mutable trigraph over certificate ids: the one contraction kernel.
+    """Mutable trigraph over certificate ids: the replay kernel.
 
-    The verifiers replay certificates on it and the heuristics in `solver`
-    build them on it; `graphs.contract` is the immutable reference.  It
-    keeps a histogram of the live red degrees and their maximum, which
-    `apply` updates for the rows it changes, so `max_red_degree` is O(1).
+    It only replays certificates, for `width_trace`, `verify_width` and
+    `apply_prefix`; no search builds on it.  `graphs.contract` is the
+    immutable reference.  A histogram of the live red degrees, updated by
+    `apply` for the rows it changes, makes `max_red_degree` O(1).
     """
 
     def __init__(self, g: Graph):
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
-        self._by_red_degree: list[tuple[int, int]] | None = None  # (degree, vertex), largest first
         self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
         self._max_red = 0
-
-    def product(self, u: int, v: int) -> tuple[set[int], set[int]]:
-        """Red and black neighbours of the vertex that merging u, v makes."""
-        drop = {u, v}
-        n1 = (self.black[u] | self.red[u]) - drop
-        n2 = (self.black[v] | self.red[v]) - drop
-        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
-        return reds, (n1 | n2) - reds
-
-    def merge_cost(self, u: int, v: int, stop: int | None = None) -> int:
-        """Max red degree of the trigraph after merging u, v; changes nothing.
-
-        With `stop`, a cost of at least stop may come back as any value
-        >= stop: the probe returns once a lower bound reaches stop, first
-        one that needs no product, then the product's own red degree.
-        """
-        if self._by_red_degree is None:
-            self._by_red_degree = sorted(((len(row), w) for w, row in self.red.items()), reverse=True)
-        # a vertex red to u or v trades it for the product, any other may
-        # gain it, so only u, v and their common red neighbours can drop
-        red_u, red_v = self.red[u], self.red[v]
-        cost = 0
-        for deg, w in self._by_red_degree:
-            if w != u and w != v and not (w in red_u and w in red_v):
-                cost = deg
-                break
-        if stop is not None and cost >= stop:
-            return cost
-        reds, _ = self.product(u, v)
-        cost = max(cost, len(reds))
-        if stop is not None and cost >= stop:
-            return cost
-        for w in reds:
-            row = self.red[w]
-            deg = len(row) - (u in row) - (v in row) + 1
-            if deg > cost:
-                cost = deg
-        return cost
 
     def apply(self, step: ContractionStep) -> None:
         u, v, x0 = step.u, step.v, step.product
         if u not in self.black or v not in self.black:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-        reds, blacks = self.product(u, v)
-        self._by_red_degree = None
         drop = {u, v}
+        n1 = (self.black[u] | self.red[u]) - drop
+        n2 = (self.black[v] | self.red[v]) - drop
+        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
+        blacks = (n1 | n2) - reds
         for w in (self.black.pop(u) | self.black.pop(v)) - drop:
             self.black[w] -= drop
         self.black[x0] = blacks

@@ -17,13 +17,17 @@ rows of i and j touch change degree, and the largest untouched degree is
 read off the degree classes.  Merges over the width bound are pruned, the
 rest sorted, and a child's parts and rows are built only when the DFS
 reaches it and its partition is not yet visited.
+
+The heuristics walk the same rows without backtracking: greedy is the
+search's first branch at unbounded width, and the width-0 path merges
+the first twin pair until none is left.  `sequences` replays every
+certificate and shares no code with this module.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import Graph
-from .sequences import ContractionSequence, ContractionStep, ReplayState, sequence_from_pairs, verify_width
+from .sequences import ContractionSequence, sequence_from_pairs, verify_width
 
 DEFAULT_BUDGET = 10**7
 
@@ -41,6 +45,18 @@ class ExactResult:
     value: int | None
     sequence: ContractionSequence | None
     expanded: int
+
+
+def _adjacency_rows(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask over vertex ids: the
+    quotient rows of the singleton partition of a nonempty graph."""
+    if g.n == 0:
+        raise ValueError("twin-width is defined for nonempty graphs")
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
@@ -123,14 +139,7 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     if d < 0:
         raise ValueError("width bound must be nonnegative")
     n = g.n
-    if n == 0:
-        raise ValueError("twin-width is defined for nonempty graphs")
-    if n == 1:
-        return DecideResult("yes", sequence_from_pairs(1, []), 0)
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adjacency_rows(g)
     visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
     expanded = 0
     out_of_budget = False
@@ -191,50 +200,51 @@ def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> Exact
     return ExactResult("exceeds-cap", None, None, total)
 
 
-def _contract_greedily(g: Graph, pick) -> ContractionSequence | None:
-    """Merge pick(state, pairs) until one vertex is left, on the replay
-    kernel; pairs are the live pairs in lexicographic order.  None when
-    pick finds no pair.
+def twinwidth_zero(g: Graph) -> ContractionSequence | None:
+    """Width-0 fast path: repeatedly contract the first twin pair in
+    certificate id order.  Succeeds exactly on cographs; the certificate
+    merges only twins, so it verifies at width 0.
     """
-    if g.n == 0:
-        raise ValueError("twin-width is defined for nonempty graphs")
-    state = ReplayState(g)
-    steps: list[ContractionStep] = []
-    while len(state.black) > 1:
-        hit = pick(state, combinations(sorted(state.black), 2))
+    n = g.n
+    exts, adjs, reds = list(range(n)), _adjacency_rows(g), [0] * n
+    steps: list[tuple[int, int]] = []
+    while len(exts) > 1:
+        # with no red edge, parts i, j are twins iff their rows agree outside {i, j};
+        # positions are in certificate id order, since the product goes last
+        hit = next(
+            ((i, j) for i in range(len(adjs)) for j in range(i + 1, len(adjs))
+             if not (adjs[i] ^ adjs[j]) & ~(1 << i) & ~(1 << j)),
+            None,
+        )
         if hit is None:
             return None
-        steps.append(ContractionStep(hit[0], hit[1], g.n + len(steps)))
-        state.apply(steps[-1])
-    return ContractionSequence(g.n, tuple(steps))
-
-
-def twinwidth_zero(g: Graph) -> ContractionSequence | None:
-    """Width-0 fast path: repeatedly contract the lexicographically first
-    twin pair.  Succeeds exactly on cographs; the certificate merges only
-    twins, so it verifies at width 0.
-    """
-    # in a trigraph with no red edge, u, v are twins iff their product has no red edge
-    seq = _contract_greedily(g, lambda st, pairs: next((uv for uv in pairs if not st.product(*uv)[0]), None))
-    if seq is not None and verify_width(g, seq) != 0:
+        i, j = hit
+        steps.append((exts[i], exts[j]))
+        adjs, reds = _child_rows(adjs, reds, i, j, 0)
+        exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
+    seq = sequence_from_pairs(n, steps)
+    if verify_width(g, seq) != 0:
         raise AssertionError("twin contraction produced a red edge")
     return seq
 
 
 def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
-    """At each step contract the pair minimizing the resulting maximum red
-    degree, ties broken by the smallest certificate id pair.  Returns the
-    certificate and its replay-verified width.  Pairs are probed in
-    lexicographic order with the best cost so far as the probe's stop.
+    """The search's first branch at unbounded width: at each step contract
+    the pair minimizing the resulting maximum red degree, ties broken by
+    the smallest certificate id pair.  Returns the certificate and its
+    replay-verified width.
     """
-
-    def cheapest(state: ReplayState, pairs):
-        best, best_cost = None, None
-        for uv in pairs:
-            cost = state.merge_cost(*uv, stop=best_cost)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = uv, cost
-        return best
-
-    seq = _contract_greedily(g, cheapest)
+    n = g.n
+    exts, adjs, reds = list(range(n)), _adjacency_rows(g), [0] * n
+    steps: list[tuple[int, int]] = []
+    width = 0
+    while len(exts) > 1:
+        # a merge that keeps the width so far beats every merge that raises
+        # it, so scoring under that bound first picks the same pair
+        deg, uv, i, j, merged_red = (_scored(exts, adjs, reds, width) or _scored(exts, adjs, reds, n))[0]
+        width = max(width, deg)
+        steps.append(uv)
+        adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
+        exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
+    seq = sequence_from_pairs(n, steps)
     return seq, verify_width(g, seq)

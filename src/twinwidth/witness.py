@@ -91,7 +91,9 @@ def check_witness(
     pt: PartitionedTrigraph | None = None,
 ) -> WitnessState:
     """Validate a witness state, or raise WitnessViolation naming the
-    condition that failed."""
+    condition that failed.  A given `pt` must be the quotient of p."""
+    if pt is not None and pt.partition != p:
+        raise ValueError("pt is the quotient of another partition")
     ids = (x1, x2, x3, x4)
     if len(set(ids)) != 4:
         raise WitnessViolation("parts not distinct")
@@ -109,7 +111,8 @@ def check_witness(
     if pair(x1, x4) in red or pair(x1, x4) in pt.quotient.black:
         raise WitnessViolation("x1-x4 adjacent")
     union = p.members(x1) | p.members(x2) | p.members(x3) | p.members(x4)
-    s, _ = max_disjoint_paths(g, p.members(x1), p.members(x4), within=union)
+    # Menger: the most vertex-disjoint X1-X4 paths equals the smallest X1-X4 separator
+    s = len(min_vertex_cut(g, p.members(x1), p.members(x4), within=union))
     w2 = black_neighborhood_weight(pt, x2)
     w3 = black_neighborhood_weight(pt, x3)
     if s + w2 + w3 < 4 * t:
@@ -139,6 +142,7 @@ def advance_witness(
     VIOLATED_RED_DEGREE: under the invariant's hypotheses that only
     happens when maintenance would force a third red edge somewhere.
     VIOLATED_STRUCTURE means the input state itself was not a witness.
+    A given `pt` must be the quotient of p_j (ValueError otherwise).
     """
     if pt is None:
         pt = quotient(g, p_j)
@@ -327,13 +331,15 @@ def find_mesh_witness(
 
     blocks = {u.root_id: frozenset(range(u.n))}
     weights = {u.root_id: len(blocks[u.root_id] & bv)}
+    heavy = int(weights[u.root_id] >= heavy_all)  # parts holding at least heavy_all
     m = 1
-    while any(w >= heavy_all for w in weights.values()) and m < u.n:
+    while heavy and m < u.n:
         sp = u.splits[m - 1]
         apply_split(blocks, sp)
-        del weights[sp.parent]
-        weights[sp.id_a] = len(sp.set_a & bv)
-        weights[sp.id_b] = len(sp.set_b & bv)
+        heavy -= weights.pop(sp.parent) >= heavy_all
+        for cid, members in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
+            weights[cid] = len(members & bv)
+            heavy += weights[cid] >= heavy_all
         m += 1
     p = VertexPartition(u.n, tuple(sorted(blocks.items())))
     # Z is the heavier child of the split that produced this level

@@ -120,6 +120,26 @@ def random_graphs(seed: int, count: int, n_max: int, n_min: int = 1) -> list[Gra
     return [random_graph(rng, rng.randint(n_min, n_max)) for _ in range(count)]
 
 
+def random_cograph(rng: random.Random, n: int) -> Graph:
+    """A random cograph on n >= 1 vertices: a random split of a shuffled
+    vertex list, each side built recursively, joined completely or not
+    at all by a coin flip."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    edges = []
+
+    def build(vs: list[int]) -> None:
+        if len(vs) > 1:
+            k = rng.randint(1, len(vs) - 1)
+            build(vs[:k])
+            build(vs[k:])
+            if rng.random() < 0.5:
+                edges.extend((u, v) for u in vs[:k] for v in vs[k:])
+
+    build(verts)
+    return graph_from_edges(n, edges)
+
+
 def random_ktt_free(rng: random.Random, n: int, t: int = 2, p: float = 0.4) -> Graph:
     """Random graph thinned until no K_{t,t} remains (deterministic repair)."""
     g = random_graph(rng, n, p)

@@ -79,31 +79,20 @@ class TestVerifyWidth:
 
 class TestKernelAgainstContract:
     """The mutable replay kernel must agree with the immutable reference
-    `graphs.contract` after every merge, and its read-only probe with the
-    reference's red degree after the merge."""
+    `graphs.contract` after every merge."""
 
     def test_random_merge_orders(self):
         rng = random.Random(5150)
-        probed = 0
         for _ in range(60):
             n = rng.randint(2, 11)
             g = random_graph(rng, n)
             state, t = ReplayState(g), trigraph_from_graph(g)
             for j in range(n - 1):
-                live = sorted(t.vertices)
-                if j % 3 == 0:
-                    for a in range(len(live)):
-                        for b in range(a + 1, len(live)):
-                            u, v = live[a], live[b]
-                            assert state.merge_cost(u, v) == max_red_degree(contract(t, u, v, n + j))
-                            probed += 1
-                    assert state.snapshot() == t  # probing changes nothing
-                u, v = sorted(rng.sample(live, 2))
+                u, v = sorted(rng.sample(sorted(t.vertices), 2))
                 state.apply(ContractionStep(u, v, n + j))
                 t = contract(t, u, v, n + j)
                 assert state.snapshot() == t
                 assert state.max_red_degree() == max_red_degree(t) == _max_red_row(state)
-        assert probed > 1000
 
     def test_running_max_red_degree(self):
         """The kept maximum equals a scan of the red rows after every step,
@@ -117,32 +106,6 @@ class TestKernelAgainstContract:
                 for step in s.steps:
                     state.apply(step)
                     assert state.max_red_degree() == _max_red_row(state)
-
-    def test_merge_cost_stop(self):
-        """Below `stop` the probe is exact; at or above it, only >= stop."""
-        rng = random.Random(6174)
-        early = 0
-        for _ in range(40):
-            n = rng.randint(2, 11)
-            g = random_graph(rng, n)
-            state, t = ReplayState(g), trigraph_from_graph(g)
-            for j in range(n - 1):
-                live = sorted(t.vertices)
-                for a in range(len(live)):
-                    for b in range(a + 1, len(live)):
-                        u, v = live[a], live[b]
-                        cost = max_red_degree(contract(t, u, v, n + j))
-                        for stop in range(n + 1):
-                            got = state.merge_cost(u, v, stop)
-                            if cost < stop:
-                                assert got == cost
-                            else:
-                                assert got >= stop
-                                early += got != cost
-                u, v = sorted(rng.sample(live, 2))
-                state.apply(ContractionStep(u, v, n + j))
-                t = contract(t, u, v, n + j)
-        assert early > 100
 
     def test_apply_rejects_dead_vertices(self):
         state = ReplayState(path_graph(3))

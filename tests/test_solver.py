@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import random
+import time
 
 import pytest
 
-from corpus import atlas_graphs, random_graph, random_graphs
+from corpus import atlas_graphs, random_cograph, random_graph, random_graphs
 from oracles import bf_decide_twinwidth, bf_twinwidth, has_induced_p4, naive_greedy_pairs, naive_twin_pairs
 from twinwidth.graphs import (
     complete_bipartite,
@@ -16,7 +18,8 @@ from twinwidth.graphs import (
     relabel,
     trigraph_from_graph,
 )
-from twinwidth.sequences import verify_width
+from twinwidth import solver
+from twinwidth.sequences import ReplayState, verify_width
 from twinwidth.solver import (
     _scored,
     decide_twinwidth_at_most,
@@ -230,18 +233,47 @@ class TestZero:
 
 
 class TestAgainstContractOracles:
-    """greedy_sequence and twinwidth_zero run on the replay kernel; the
-    oracles score every pair with an immutable `graphs.contract`."""
+    """greedy_sequence and twinwidth_zero walk the exact search's quotient
+    rows; the oracles score every pair with an immutable `graphs.contract`."""
 
     def test_greedy_pairs_match(self):
-        for g in random_graphs(2718, 120, 10) + random_graphs(1414, 6, 14, 12):
+        named = [cycle_graph(8), grid_graph(4, 4), gen_wall(4)[0], gen_tww3_family(3)[0]]
+        for g in named + random_graphs(2718, 120, 10) + random_graphs(1414, 6, 14, 12):
             s, _ = greedy_sequence(g)
             assert list(s.pairs()) == naive_greedy_pairs(g), sorted(g.edges)
 
     def test_twin_merges_match(self):
-        for g in random_graphs(3141, 200, 10):
+        rng = random.Random(1618)
+        cographs = [random_cograph(rng, rng.randint(1, 16)) for _ in range(120)]
+        for g in random_graphs(3141, 200, 10) + cographs:
             s = twinwidth_zero(g)
             assert (None if s is None else list(s.pairs())) == naive_twin_pairs(g), sorted(g.edges)
+        assert all(twinwidth_zero(g) is not None for g in cographs)
+
+
+class TestHeuristicScale:
+    def test_zero_on_a_300_vertex_cograph(self):
+        g = random_cograph(random.Random(300), 300)
+        start = time.perf_counter()
+        s = twinwidth_zero(g)
+        assert time.perf_counter() - start < 2.0
+        assert s is not None and verify_width(g, s) == 0
+
+    def test_greedy_on_dense_random_150(self):
+        g = random_graph(random.Random(150), 150, 0.3)
+        start = time.perf_counter()
+        s, w = greedy_sequence(g)
+        assert time.perf_counter() - start < 3.0
+        assert verify_width(g, s) == w
+
+
+class TestSearchAndVerifierStaySeparate:
+    """Certificates are replayed by code that did not make them: the
+    solver never touches the replay kernel, which only replays."""
+
+    def test_solver_does_not_use_the_replay_kernel(self):
+        assert "ReplayState" not in inspect.getsource(solver)
+        assert not hasattr(ReplayState, "merge_cost")
 
 
 class TestGreedy:

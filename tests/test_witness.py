@@ -136,6 +136,20 @@ class TestCheckWitness:
             check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 2)
         assert exc.value.condition == "inequality below 4t"
 
+    def test_quotient_of_another_partition_is_rejected(self):
+        # sizes come from p and colours from pt: the singleton quotient has
+        # no red edge, so this valid witness would read "x1-x2 not red"
+        g, x1, x2, x3, x4 = four_blobs()
+        p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+        w = check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 2, pt=quotient(g, p))
+        other = quotient(g, singleton_partition(g.n))
+        with pytest.raises(ValueError, match="another partition"):
+            check_witness(g, p, *w.parts, 2, pt=other)
+        b = max(x1)
+        split = Split(min(x1), min(x1), x1 - {b}, b, frozenset({b}))
+        with pytest.raises(ValueError, match="another partition"):
+            advance_witness(g, p, w, split, pt=other)
+
 
 class TestAdvanceWitness:
     def test_outside_split_keeps_everything(self):
