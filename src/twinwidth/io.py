@@ -8,9 +8,9 @@ bit-exactly through the matching reader.
 
 import json
 
-from .graphs import Graph, Trigraph, graph_from_edges
+from .graphs import Graph, Trigraph
 from .partitions import VertexPartition, partition_from_blocks
-from .sequences import ContractionSequence, sequence_from_pairs
+from .sequences import ContractionSequence, SequenceError, sequence_from_pairs
 from .structure import MeshEmbedding
 from .treewidth import TreeDecomposition
 
@@ -39,26 +39,14 @@ def read_dimacs(text: str) -> Graph:
     m = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise FormatError(lineno, "duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise FormatError(lineno, f"expected 'p edge <n> <m>', got {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(lineno, "non-integer counts in problem line") from None
-            if n < 0 or m < 0:
-                raise FormatError(lineno, "negative counts in problem line")
-        elif parts[0] == "e":
+        if parts[0] == "e":
             if n is None:
                 raise FormatError(lineno, "edge before problem line")
             if len(parts) != 3:
-                raise FormatError(lineno, f"expected 'e <u> <v>', got {line!r}")
+                raise FormatError(lineno, f"expected 'e <u> <v>', got {raw.strip()!r}")
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
@@ -67,17 +55,30 @@ def read_dimacs(text: str) -> Graph:
                 raise FormatError(lineno, f"endpoint out of range 1..{n}")
             if u == v:
                 raise FormatError(lineno, "loops are not allowed")
-            e = (min(u, v) - 1, max(u, v) - 1)
+            e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             if e in edges:
                 raise FormatError(lineno, f"duplicate edge {u} {v}")
             edges.add(e)
+        elif parts[0].startswith("c"):
+            continue
+        elif parts[0] == "p":
+            if n is not None:
+                raise FormatError(lineno, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise FormatError(lineno, f"expected 'p edge <n> <m>', got {raw.strip()!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(lineno, "non-integer counts in problem line") from None
+            if n < 0 or m < 0:
+                raise FormatError(lineno, "negative counts in problem line")
         else:
-            raise FormatError(lineno, f"unrecognized line {line!r}")
+            raise FormatError(lineno, f"unrecognized line {raw.strip()!r}")
     if n is None:
         raise FormatError(1, "missing problem line")
     if len(edges) != m:
         raise FormatError(1, f"problem line promises {m} edges, file has {len(edges)}")
-    return graph_from_edges(n, edges)
+    return Graph(n, frozenset(edges))
 
 
 def write_dimacs(g: Graph) -> str:
@@ -121,7 +122,12 @@ def sequence_from_json(text: str) -> ContractionSequence:
     steps = payload["steps"]
     if not isinstance(steps, list) or any(not isinstance(x, dict) or "u" not in x or "v" not in x for x in steps):
         raise FormatError(1, "'steps' must be a list of {u, v} objects")
-    return sequence_from_pairs(_int(payload["n"], "n"), [(_int(x["u"], "u"), _int(x["v"], "v")) for x in steps])
+    n = _int(payload["n"], "n")
+    pairs = [(_int(x["u"], "u"), _int(x["v"], "v")) for x in steps]
+    try:
+        return sequence_from_pairs(n, pairs)
+    except SequenceError as exc:
+        raise FormatError(1, str(exc)) from None
 
 
 def verdict_to_json(width: int, trace: list[int]) -> str:

@@ -4,7 +4,9 @@ uncontraction view.
 Certificate id convention: the original graph's vertices are 0..n-1 and
 the product of the j-th contraction (0-based) is the fresh id n+j, so a
 full sequence uses ids 0..2n-2.  Certificates store only the (u, v) pairs;
-product ids are recomputed deterministically on replay.
+product ids are recomputed deterministically on replay.  The replay
+kernel keys its rows by slot (one of 0..n-1) and maps slots back to
+certificate ids only when it takes a snapshot.
 """
 
 from dataclasses import dataclass
@@ -58,45 +60,68 @@ class ReplayState:
 
     It only replays certificates, for `width_trace`, `verify_width` and
     `apply_prefix`; no search builds on it.  `graphs.contract` is the
-    immutable reference.  A histogram of the live red degrees, updated by
-    `apply` for the rows it changes, makes `max_red_degree` O(1).
+    immutable reference.  Rows are keyed by slot, not by certificate id:
+    the product of a merge takes over the slot of the side with more
+    neighbours, so a merge rewrites only the rows of the other side's
+    neighbours and of the kept side's black neighbours that turn red.
+    `snapshot` maps slots back to ids.  A histogram of the live red
+    degrees, updated by `apply` for the rows it changes, makes
+    `max_red_degree` O(1).
     """
 
     def __init__(self, g: Graph):
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        self._slot = {v: v for v in range(g.n)}  # live certificate id -> slot
+        self._id = list(range(g.n))  # slot -> certificate id
         self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
         self._max_red = 0
 
     def apply(self, step: ContractionStep) -> None:
-        u, v, x0 = step.u, step.v, step.product
-        if u not in self.black or v not in self.black:
+        u, v = step.u, step.v
+        if u not in self._slot or v not in self._slot:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-        drop = {u, v}
-        n1 = (self.black[u] | self.red[u]) - drop
-        n2 = (self.black[v] | self.red[v]) - drop
-        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
-        blacks = (n1 | n2) - reds
-        for w in (self.black.pop(u) | self.black.pop(v)) - drop:
-            self.black[w] -= drop
-        self.black[x0] = blacks
-        for w in blacks:
-            self.black[w].add(x0)
-        # reds holds every red neighbour of u and v, so only these rows,
-        # u, v and the product change red degree
-        hist = self._rows_of_degree
-        hist[len(self.red.pop(u))] -= 1
-        hist[len(self.red.pop(v))] -= 1
-        for w in reds:
-            row = self.red[w]
+        a, b = self._slot.pop(u), self._slot.pop(v)
+        black, red, hist = self.black, self.red, self._rows_of_degree
+        if len(black[a]) + len(red[a]) < len(black[b]) + len(red[b]):
+            a, b = b, a
+        self._slot[step.product] = a
+        self._id[a] = step.product
+        ba, ra, bb, rb = black[a], red[a], black.pop(b), red.pop(b)
+        hist[len(ra)] -= 1
+        hist[len(rb)] -= 1
+        ba.discard(b)
+        ra.discard(b)
+        bb.discard(a)
+        rb.discard(a)
+        # only these rows change: b's black neighbours see the product red
+        # unless they saw a, b's red neighbours trade b for a, and a's black
+        # neighbours outside b's neighbourhood turn red
+        for w in bb:
+            black[w].remove(b)
+            if w not in ba and w not in ra:
+                row = red[w]
+                hist[len(row)] -= 1
+                row.add(a)
+                hist[len(row)] += 1
+        for w in rb:
+            row = red[w]
             hist[len(row)] -= 1
-            row -= drop
-            row.add(x0)
+            row.remove(b)
+            black[w].discard(a)
+            row.add(a)
             hist[len(row)] += 1
-        self.red[x0] = reds
-        hist[len(reds)] += 1
+        for w in ba - bb - rb:
+            black[w].remove(a)
+            row = red[w]
+            hist[len(row)] -= 1
+            row.add(a)
+            hist[len(row)] += 1
+        ra |= rb | (ba ^ bb)
+        ba &= bb
+        hist[len(ra)] += 1
         # a row gains at most the product; walk down to the first degree held
-        top = max(self._max_red + 1, len(reds))
+        top = max(self._max_red + 1, len(ra))
         while top and not hist[top]:
             top -= 1
         self._max_red = top
@@ -105,9 +130,10 @@ class ReplayState:
         return self._max_red
 
     def snapshot(self) -> Trigraph:
-        verts = frozenset(self.black)
-        black = frozenset(pair(u, v) for u in self.black for v in self.black[u] if u < v)
-        red = frozenset(pair(u, v) for u in self.red for v in self.red[u] if u < v)
+        ids = self._id
+        verts = frozenset(ids[a] for a in self.black)
+        black = frozenset(pair(ids[a], ids[b]) for a in self.black for b in self.black[a] if a < b)
+        red = frozenset(pair(ids[a], ids[b]) for a in self.red for b in self.red[a] if a < b)
         return Trigraph(verts, black, red)
 
 

@@ -216,21 +216,26 @@ class FamilyLabeling:
     apexes: tuple[int, ...]  # apexes[i] adjacent to the i-th vertex of every path
 
 
+def _tww3_labeling(n: int) -> FamilyLabeling:
+    """The vertex layout of `gen_tww3_family(n)`, without its graph."""
+    if n < 1:
+        raise ValueError("family parameter must be positive")
+    paths = tuple(tuple(j * n + i for i in range(n)) for j in range(n))
+    return FamilyLabeling(n, paths, tuple(n * n + i for i in range(n)))
+
+
 def gen_tww3_family(n: int) -> tuple[Graph, FamilyLabeling]:
     """N disjoint N-vertex paths plus N apexes; apex i sees the i-th
     vertex of every path.  N^2 + N vertices, no K_{2,2} subgraph,
     twin-width at most 3, tree-width exactly N.
     """
-    if n < 1:
-        raise ValueError("family parameter must be positive")
-    paths = tuple(tuple(j * n + i for i in range(n)) for j in range(n))
-    apexes = tuple(n * n + i for i in range(n))
+    lab = _tww3_labeling(n)
     edges = []
-    for row in paths:
+    for row in lab.paths:
         edges.extend(zip(row, row[1:]))
     for i in range(n):
-        edges.extend((apexes[i], row[i]) for row in paths)
-    return graph_from_edges(n * n + n, edges), FamilyLabeling(n, paths, apexes)
+        edges.extend((lab.apexes[i], row[i]) for row in lab.paths)
+    return graph_from_edges(n * n + n, edges), lab
 
 
 def tww3_family_sequence(n: int) -> ContractionSequence:
@@ -240,7 +245,7 @@ def tww3_family_sequence(n: int) -> ContractionSequence:
     i = 1..N), contract each apex into its column blob (i = 1..N), then
     collapse the remaining red path from its first vertex.
     """
-    _, lab = gen_tww3_family(n)
+    lab = _tww3_labeling(n)
     total = n * n + n
     blob = list(lab.paths[0])
     pairs: list[tuple[int, int]] = []

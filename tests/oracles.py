@@ -7,16 +7,20 @@ trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree; the
 naive quotient colours each part pair by its own crossing count, and
-the naive flow keeps capacities and flows apart; the separator oracle
-enumerates vertex subsets exhaustively.
+the naive flow keeps capacities and flows apart; the naive replay
+kernel keys its rows by certificate id and rewrites every red row of a
+product; the naive DIMACS reader normalises each edge twice; the
+separator oracle enumerates vertex subsets exhaustively.
 """
 
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from twinwidth.graphs import Graph, Trigraph, contract, max_red_degree, pair, trigraph_from_graph
+from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
+from twinwidth.io import FormatError
 from twinwidth.partitions import PartitionedTrigraph, VertexPartition
+from twinwidth.sequences import ContractionStep, SequenceError
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 
 
@@ -117,6 +121,115 @@ def naive_twin_pairs(g: Graph) -> list[tuple[int, int]] | None:
         t = contract(t, *twins[0], g.n + len(pairs))
         pairs.append(twins[0])
     return pairs
+
+
+# ------------------------------------------------- certificate replay
+
+
+class NaiveReplayState:
+    """The replay kernel with rows keyed by certificate id: every merge
+    rewrites every red row of the product, and the product gets a fresh
+    row.  A histogram of the live red degrees, updated by `apply` for the
+    rows it changes, makes `max_red_degree` O(1).
+    """
+
+    def __init__(self, g: Graph):
+        self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
+        self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
+        self._max_red = 0
+
+    def apply(self, step: ContractionStep) -> None:
+        u, v, x0 = step.u, step.v, step.product
+        if u not in self.black or v not in self.black:
+            raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+        drop = {u, v}
+        n1 = (self.black[u] | self.red[u]) - drop
+        n2 = (self.black[v] | self.red[v]) - drop
+        reds = ((self.red[u] | self.red[v]) - drop) | (n1 ^ n2)
+        blacks = (n1 | n2) - reds
+        for w in (self.black.pop(u) | self.black.pop(v)) - drop:
+            self.black[w] -= drop
+        self.black[x0] = blacks
+        for w in blacks:
+            self.black[w].add(x0)
+        # reds holds every red neighbour of u and v, so only these rows,
+        # u, v and the product change red degree
+        hist = self._rows_of_degree
+        hist[len(self.red.pop(u))] -= 1
+        hist[len(self.red.pop(v))] -= 1
+        for w in reds:
+            row = self.red[w]
+            hist[len(row)] -= 1
+            row -= drop
+            row.add(x0)
+            hist[len(row)] += 1
+        self.red[x0] = reds
+        hist[len(reds)] += 1
+        # a row gains at most the product; walk down to the first degree held
+        top = max(self._max_red + 1, len(reds))
+        while top and not hist[top]:
+            top -= 1
+        self._max_red = top
+
+    def max_red_degree(self) -> int:
+        return self._max_red
+
+    def snapshot(self) -> Trigraph:
+        verts = frozenset(self.black)
+        black = frozenset(pair(u, v) for u in self.black for v in self.black[u] if u < v)
+        red = frozenset(pair(u, v) for u in self.red for v in self.red[u] if u < v)
+        return Trigraph(verts, black, red)
+
+
+# ----------------------------------------------------------------- readers
+
+
+def naive_read_dimacs(text: str) -> Graph:
+    """Parse `p edge <n> <m>` followed by m `e <u> <v>` lines, 1-indexed."""
+    n = None
+    m = None
+    edges: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise FormatError(lineno, "duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise FormatError(lineno, f"expected 'p edge <n> <m>', got {line!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(lineno, "non-integer counts in problem line") from None
+            if n < 0 or m < 0:
+                raise FormatError(lineno, "negative counts in problem line")
+        elif parts[0] == "e":
+            if n is None:
+                raise FormatError(lineno, "edge before problem line")
+            if len(parts) != 3:
+                raise FormatError(lineno, f"expected 'e <u> <v>', got {line!r}")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise FormatError(lineno, "non-integer endpoint") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise FormatError(lineno, f"endpoint out of range 1..{n}")
+            if u == v:
+                raise FormatError(lineno, "loops are not allowed")
+            e = (min(u, v) - 1, max(u, v) - 1)
+            if e in edges:
+                raise FormatError(lineno, f"duplicate edge {u} {v}")
+            edges.add(e)
+        else:
+            raise FormatError(lineno, f"unrecognized line {line!r}")
+    if n is None:
+        raise FormatError(1, "missing problem line")
+    if len(edges) != m:
+        raise FormatError(1, f"problem line promises {m} edges, file has {len(edges)}")
+    return graph_from_edges(n, edges)
 
 
 # ------------------------------------------------ tree-width heuristics

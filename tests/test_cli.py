@@ -60,6 +60,13 @@ class TestTww:
         assert main_tww(["exact", "--cap", "1", str(f)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_verify_wrong_step_count_names_line_one(self, p4_file, tmp_path, capsys):
+        sfile = tmp_path / "short.json"
+        sfile.write_text('{"n": 4, "steps": []}\n')
+        assert main_tww(["verify", "--seq", str(sfile), p4_file]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: expected 3 steps, got 0" in err and "Traceback" not in err
+
     def test_zero_and_greedy(self, c4_file, capsys):
         assert main_tww(["zero", c4_file]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "tww0: yes"

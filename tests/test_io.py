@@ -2,8 +2,11 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import random_graph
+from oracles import naive_read_dimacs
 from twinwidth.graphs import cycle_graph, path_graph, trigraph_from_graph, contract
 from twinwidth.io import (
     FormatError,
@@ -64,6 +67,48 @@ class TestDimacs:
         assert time.perf_counter() - start < 5.0
 
 
+_TOKENS = st.one_of(
+    st.sampled_from(["p", "edge", "e", "c", "cx", "x", "1.5", "-", "+2", "0"]),
+    st.integers(-2, 5).map(str),
+)
+_LINES = st.one_of(
+    st.lists(_TOKENS, max_size=5).map(" ".join),
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(lambda nm: f"p edge {nm[0]} {nm[1]}"),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda uv: f"e {uv[0]} {uv[1]}"),
+    st.sampled_from(["", "   ", "\t", "c a comment", "  e 1 2  ", "e 1 x", "e 2"]),
+)
+_SOUPS = st.one_of(
+    st.lists(_LINES, max_size=8),
+    st.tuples(
+        st.lists(_LINES, max_size=1),
+        st.tuples(st.integers(0, 5), st.integers(0, 4)).map(lambda nm: f"p edge {nm[0]} {nm[1]}"),
+        st.lists(_LINES, max_size=8),
+    ).map(lambda t: [*t[0], t[1], *t[2]]),
+).map("\n".join)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except FormatError as exc:
+        return exc.line, str(exc)
+
+
+class TestDimacsAgainstNaive:
+    """The one-pass reader returns the same graph, or raises on the same
+    line with the same message, as the reader that normalised every edge
+    twice (`oracles.naive_read_dimacs`)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SOUPS)
+    @example("p edge 3 2\ne 1 2\ne 3 2\n")
+    @example("c x\n p edge 2 1 \n\ne 2 1")
+    @example("p edge 2 1\ne 1 2 3\n")
+    @example("p edge 2 2\ne 1 2\ne 2 1\n")
+    def test_token_soup(self, text):
+        assert _outcome(read_dimacs, text) == _outcome(naive_read_dimacs, text)
+
+
 class TestDot:
     def test_red_edges_carry_color(self):
         t = contract(trigraph_from_graph(cycle_graph(5)), 0, 1)
@@ -95,6 +140,21 @@ class TestSequenceJson:
             sequence_from_json('{"n": 3}')
         with pytest.raises(FormatError):
             sequence_from_json('{"n": 3, "steps": [1, 2]}')
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 2, "steps": []}', "expected 1 steps, got 0"),
+            ('{"n": 0, "steps": []}', "sequences are defined for graphs with at least one vertex"),
+            ('{"n": -3, "steps": []}', "sequences are defined for graphs with at least one vertex"),
+            ('{"n": 2, "steps": [{"u": 1, "v": 1}]}', "step 0 contracts 1 with itself"),
+        ],
+    )
+    def test_shape_errors_carry_a_line(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            sequence_from_json(text)
+        assert exc.value.line == 1
+        assert str(exc.value) == f"line 1: {message}"
 
     @pytest.mark.parametrize(
         "text",

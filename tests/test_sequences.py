@@ -1,10 +1,13 @@
+import collections
 import random
 import time
 
 import pytest
 
 from corpus import random_graph
+from oracles import NaiveReplayState
 from twinwidth.graphs import (
+    Graph,
     complete_graph,
     contract,
     cycle_graph,
@@ -47,6 +50,42 @@ def _random_merge_order(rng: random.Random, n: int):
         live.append(n + j)
         pairs.append(picked)
     return sequence_from_pairs(n, pairs)
+
+
+def _naive_trace(g, steps) -> list[int]:
+    state = NaiveReplayState(g)
+    trace = []
+    for step in steps:
+        state.apply(step)
+        trace.append(state.max_red_degree())
+    return trace
+
+
+def _lockstep(g, steps, seen=None) -> None:
+    """Replay `steps` on the kernel and on `NaiveReplayState`, comparing
+    both after every step.  `seen` tallies each merge by how u and v are
+    linked and by which side has more neighbours (the kept slot)."""
+    fast, slow = ReplayState(g), NaiveReplayState(g)
+    for step in steps:
+        if seen is not None:
+            u, v = step.u, step.v
+            link = "black" if v in slow.black[u] else "red" if v in slow.red[u] else "none"
+            du = len(slow.black[u]) + len(slow.red[u])
+            dv = len(slow.black[v]) + len(slow.red[v])
+            seen[link, "u" if du > dv else "v" if dv > du else "tie"] += 1
+        fast.apply(step)
+        slow.apply(step)
+        assert fast.snapshot() == slow.snapshot()
+        assert fast.max_red_degree() == slow.max_red_degree() == _max_red_row(fast)
+
+
+def _matching_sweep(m: int):
+    """A perfect matching on 2m vertices and the sequence that grows one
+    blob from vertex 0 through every even vertex, then every odd one:
+    the blob's red degree reaches m."""
+    g = Graph(2 * m, frozenset((2 * i, 2 * i + 1) for i in range(m)))
+    order = [*range(2, 2 * m, 2), *range(1, 2 * m, 2)]
+    return g, sequence_from_pairs(2 * m, [(0 if j == 0 else 2 * m + j - 1, x) for j, x in enumerate(order)])
 
 
 class TestVerifyWidth:
@@ -112,6 +151,62 @@ class TestKernelAgainstContract:
         state.apply(ContractionStep(0, 1, 3))
         with pytest.raises(SequenceError):
             state.apply(ContractionStep(0, 2, 4))
+
+
+class TestKernelAgainstNaive:
+    """The slot-keyed kernel must give the same trigraph, maximum red
+    degree, trace and errors as the id-keyed kernel it replaced
+    (`oracles.NaiveReplayState`), after every step."""
+
+    def test_random_merge_orders(self):
+        rng = random.Random(9090)
+        seen = collections.Counter()
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n)
+            _lockstep(g, _random_merge_order(rng, n).steps, seen)
+        # every link kind under every larger-side outcome
+        assert len(seen) == 9 and min(seen.values()) >= 20, seen
+
+    def test_family(self):
+        rng = random.Random(2024)
+        for n in range(2, 9):
+            g, _ = gen_tww3_family(n)
+            for s in [tww3_family_sequence(n)] + [_random_merge_order(rng, g.n) for _ in range(3)]:
+                _lockstep(g, s.steps)
+
+    def test_width_trace_random_orders(self):
+        rng = random.Random(1540)
+        for n in range(15, 41):
+            g, _ = gen_tww3_family(n)
+            s = _random_merge_order(rng, g.n)
+            trace = _naive_trace(g, s.steps)
+            assert width_trace(g, s) == trace
+            assert verify_width(g, s) == max(trace)
+            i = rng.randrange(g.n)
+            slow = NaiveReplayState(g)
+            for step in s.steps[:i]:
+                slow.apply(step)
+            assert apply_prefix(g, s, i) == slow.snapshot()
+
+    def test_errors_match(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            g = random_graph(rng, n)
+            pairs = list(_random_merge_order(rng, n).pairs())
+            j = rng.randrange(1, n - 1)
+            dead = sorted({x for p in pairs[:j] for x in p})
+            bad = rng.choice([*dead, -1, 3 * n])
+            pairs[j] = (bad, pairs[j][1]) if bad != pairs[j][1] else (pairs[j][0], bad)
+            steps = [ContractionStep(u, v, n + k) for k, (u, v) in enumerate(pairs)]
+            messages = []
+            for state in (ReplayState(g), NaiveReplayState(g)):
+                with pytest.raises(SequenceError) as exc:
+                    for step in steps:
+                        state.apply(step)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1] == f"step merges dead or unknown vertex in ({pairs[j][0]},{pairs[j][1]})"
 
 
 class TestApplyPrefix:
@@ -209,3 +304,12 @@ class TestScale:
         trace = width_trace(g, s)
         assert len(trace) == g.n - 1 and trace[-1] == 0
         assert time.perf_counter() - start < 5.0
+
+    def test_matching_sweep(self):
+        """One blob swallowing 12,000 vertices keeps its slot, so no step
+        rewrites its 6,000 red neighbours (15.8 s when each merge moved
+        every red row to a fresh product id)."""
+        g, s = _matching_sweep(6000)
+        start = time.perf_counter()
+        assert verify_width(g, s) == 6000
+        assert time.perf_counter() - start < 2.0
