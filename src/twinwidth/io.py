@@ -30,6 +30,18 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _load_json(text: str):
+    """Parsed JSON; every way json.loads can fail is a FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(1, "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise FormatError(1, f"invalid JSON: {exc}") from None
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -113,10 +125,7 @@ def sequence_to_json(s: ContractionSequence) -> str:
 
 
 def sequence_from_json(text: str) -> ContractionSequence:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    payload = _load_json(text)
     if not isinstance(payload, dict) or "n" not in payload or "steps" not in payload:
         raise FormatError(1, "certificate must be an object with 'n' and 'steps'")
     steps = payload["steps"]
@@ -238,10 +247,7 @@ def mesh_to_json(me: MeshEmbedding) -> str:
 
 
 def mesh_from_json(text: str) -> MeshEmbedding:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    payload = _load_json(text)
     if not isinstance(payload, dict):
         raise FormatError(1, "mesh must be an object with 'N', 'rows' and 'cols'")
     for key in ("N", "rows", "cols"):

@@ -156,6 +156,13 @@ class TestSequenceJson:
         assert exc.value.line == 1
         assert str(exc.value) == f"line 1: {message}"
 
+    @pytest.mark.parametrize("read", [sequence_from_json, mesh_from_json])
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"n": 1' + "0" * 5000 + ', "steps": []}'])
+    def test_json_the_parser_rejects_carries_a_line(self, read, text):
+        with pytest.raises(FormatError) as exc:
+            read(text)
+        assert exc.value.line == 1
+
     @pytest.mark.parametrize(
         "text",
         [
