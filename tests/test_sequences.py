@@ -198,7 +198,7 @@ class TestKernelAgainstNaive:
             j = rng.randrange(1, n - 1)
             dead = sorted({x for p in pairs[:j] for x in p})
             bad = rng.choice([*dead, -1, 3 * n])
-            pairs[j] = (bad, pairs[j][1]) if bad != pairs[j][1] else (pairs[j][0], bad)
+            pairs[j] = (bad, pairs[j][1])
             steps = [ContractionStep(u, v, n + k) for k, (u, v) in enumerate(pairs)]
             messages = []
             for state in (ReplayState(g), NaiveReplayState(g)):
@@ -307,7 +307,7 @@ class TestScale:
 
     def test_matching_sweep(self):
         """One blob swallowing 12,000 vertices keeps its slot, so no step
-        rewrites its 6,000 red neighbours (15.8 s when each merge moved
+        rewrites its 6,000 red neighbours (12-16 s when each merge moved
         every red row to a fresh product id)."""
         g, s = _matching_sweep(6000)
         start = time.perf_counter()
