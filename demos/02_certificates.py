@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Contraction-sequence certificates and their replay verification.
 
-A certificate stores only the merge pairs; product ids are recomputed as
-n+j.  Replaying yields the exact width (the maximum red degree ever seen)
+A certificate is n and its merge pairs, each normalised to u < v; the
+j-th merge's product is n+j, numbered by position and never stored.
+Replaying yields the exact width (the maximum red degree ever seen)
 and a per-step trace.  Inverting a sequence gives the partition chain, and
 the quotient of the chain matches the forward replay at every index.
 """

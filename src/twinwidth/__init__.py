@@ -35,7 +35,6 @@ from .partitions import (
 from .pipeline import PipelineResult, WidthBoundMissed, decomposition_sequence, pipeline_certify
 from .sequences import (
     ContractionSequence,
-    ContractionStep,
     SequenceError,
     Split,
     UncontractionSequence,

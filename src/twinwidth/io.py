@@ -116,7 +116,7 @@ def trigraph_to_dot(t: Trigraph, name: str = "trigraph") -> str:
 
 def steps_payload(s: ContractionSequence) -> list[dict[str, int]]:
     """The `steps` list of the JSON certificate: one {u, v} object per merge."""
-    return [{"u": u, "v": v} for u, v in s.pairs()]
+    return [{"u": u, "v": v} for u, v in s.steps]
 
 
 def sequence_to_json(s: ContractionSequence) -> str:

@@ -3,10 +3,11 @@ uncontraction view.
 
 Certificate id convention: the original graph's vertices are 0..n-1 and
 the product of the j-th contraction (0-based) is the fresh id n+j, so a
-full sequence uses ids 0..2n-2.  Certificates store only the (u, v) pairs;
-product ids are recomputed deterministically on replay.  The replay
-kernel keys its rows by slot (one of 0..n-1) and maps slots back to
-certificate ids only when it takes a snapshot.
+full sequence uses ids 0..2n-2.  A sequence is n and its merge pairs,
+each normalised to u < v; a product id is never stored, since it follows
+from the step's position.  The replay kernel keys its rows by slot (one
+of 0..n-1) and maps slots back to certificate ids only when it takes a
+snapshot.
 """
 
 from dataclasses import dataclass
@@ -20,39 +21,30 @@ class SequenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class ContractionStep:
-    u: int
-    v: int
-    product: int
-
-
-@dataclass(frozen=True)
 class ContractionSequence:
-    """n-1 pair-merges turning an n-vertex graph into a single vertex."""
+    """n-1 pair-merges turning an n-vertex graph into a single vertex.
+
+    `steps` holds the (u, v) pairs with u < v; step j's product is n+j.
+    """
 
     n: int
-    steps: tuple[ContractionStep, ...]
+    steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise SequenceError("sequences are defined for graphs with at least one vertex")
         if len(self.steps) != self.n - 1:
             raise SequenceError(f"expected {self.n - 1} steps, got {len(self.steps)}")
-        for j, s in enumerate(self.steps):
-            if s.product != self.n + j:
-                raise SequenceError(f"step {j} product id {s.product}, expected {self.n + j}")
-            if s.u == s.v:
-                raise SequenceError(f"step {j} contracts {s.u} with itself")
+        for j, (u, v) in enumerate(self.steps):
+            if u == v:
+                raise SequenceError(f"step {j} contracts {u} with itself")
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s.u, s.v) for s in self.steps)
+        return self.steps
 
 
 def sequence_from_pairs(n: int, pairs_list) -> ContractionSequence:
-    steps = tuple(
-        ContractionStep(min(u, v), max(u, v), n + j) for j, (u, v) in enumerate(pairs_list)
-    )
-    return ContractionSequence(n, steps)
+    return ContractionSequence(n, tuple(pair(u, v) for u, v in pairs_list))
 
 
 class ReplayState:
@@ -70,23 +62,28 @@ class ReplayState:
     """
 
     def __init__(self, g: Graph):
-        self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
+        self.black: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        for u, v in g.edges:
+            self.black[u].add(v)
+            self.black[v].add(u)
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
         self._slot = {v: v for v in range(g.n)}  # live certificate id -> slot
         self._id = list(range(g.n))  # slot -> certificate id
+        self._next = g.n  # the next product's certificate id
         self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
         self._max_red = 0
 
-    def apply(self, step: ContractionStep) -> None:
-        u, v = step.u, step.v
+    def apply(self, u: int, v: int) -> None:
+        """Merge u and v; the product's id is n + the merges applied so far."""
         if u not in self._slot or v not in self._slot:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
         a, b = self._slot.pop(u), self._slot.pop(v)
         black, red, hist = self.black, self.red, self._rows_of_degree
         if len(black[a]) + len(red[a]) < len(black[b]) + len(red[b]):
             a, b = b, a
-        self._slot[step.product] = a
-        self._id[a] = step.product
+        self._slot[self._next] = a
+        self._id[a] = self._next
+        self._next += 1
         ba, ra, bb, rb = black[a], red[a], black.pop(b), red.pop(b)
         hist[len(ra)] -= 1
         hist[len(rb)] -= 1
@@ -147,8 +144,8 @@ def width_trace(g: Graph, s: ContractionSequence) -> list[int]:
     _check_shape(g, s)
     state = ReplayState(g)
     trace = []
-    for step in s.steps:
-        state.apply(step)
+    for u, v in s.steps:
+        state.apply(u, v)
         trace.append(state.max_red_degree())
     return trace
 
@@ -168,8 +165,8 @@ def apply_prefix(g: Graph, s: ContractionSequence, i: int) -> Trigraph:
     if not (0 <= i <= g.n - 1):
         raise SequenceError(f"prefix length {i} out of range")
     state = ReplayState(g)
-    for step in s.steps[:i]:
-        state.apply(step)
+    for u, v in s.steps[:i]:
+        state.apply(u, v)
     return state.snapshot()
 
 
@@ -226,21 +223,20 @@ def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
     undoes the (n-i)-th contraction.
     """
     _check_shape(g, s)
-    members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(g.n)}
-    live = set(range(g.n))
-    for step in s.steps:
-        if step.u not in live or step.v not in live:
-            raise SequenceError(f"step merges dead or unknown vertex in ({step.u},{step.v})")
-        members[step.product] = members[step.u] | members[step.v]
-        live -= {step.u, step.v}
-        live.add(step.product)
-    root = g.n + len(s.steps) - 1 if s.steps else 0
+    n = g.n
+    members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
+    live = set(range(n))
+    for j, (u, v) in enumerate(s.steps):
+        if u not in live or v not in live:
+            raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+        members[n + j] = members[u] | members[v]
+        live -= {u, v}
+        live.add(n + j)
+    root = n + len(s.steps) - 1 if s.steps else 0
     splits = tuple(
-        Split(st.product, min(st.u, st.v), members[min(st.u, st.v)],
-              max(st.u, st.v), members[max(st.u, st.v)])
-        for st in reversed(s.steps)
+        Split(n + j, u, members[u], v, members[v]) for j, (u, v) in reversed(list(enumerate(s.steps)))
     )
-    return UncontractionSequence(g.n, root, splits)
+    return UncontractionSequence(n, root, splits)
 
 
 def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:
@@ -275,4 +271,4 @@ def sequence_relabel(s: ContractionSequence, perm) -> ContractionSequence:
     def f(x: int) -> int:
         return perm[x] if x < s.n else x
 
-    return sequence_from_pairs(s.n, ((f(st.u), f(st.v)) for st in s.steps))
+    return sequence_from_pairs(s.n, ((f(u), f(v)) for u, v in s.steps))

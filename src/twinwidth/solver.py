@@ -61,7 +61,8 @@ def _adjacency_rows(g: Graph) -> list[int]:
 
 def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
     """(maxdeg, certificate pair, i, j, merged red row) for every merge of
-    parts i < j that keeps the red degree <= d, in search order.  Parts are
+    parts i < j that keeps the red degree <= d, unsorted; the tuple order is
+    the search order, and the certificate pair decides every tie.  Parts are
     positions: exts holds their certificate ids, adjs and reds their
     quotient rows.  Scores from the parents' rows only; builds no child."""
     p = len(reds)
@@ -104,7 +105,6 @@ def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[t
                 continue
             a, b = exts[i], exts[j]
             out.append((maxdeg, (a, b) if a < b else (b, a), i, j, merged))
-    out.sort()
     return out
 
 
@@ -154,7 +154,7 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
             out_of_budget = True
             return False
         next_ext = n + len(steps)
-        for _, uv, i, j, merged_red in _scored(exts, adjs, reds, d):
+        for _, uv, i, j, merged_red in sorted(_scored(exts, adjs, reds, d)):
             new_masks = masks[:i] + masks[i + 1:j] + masks[j + 1:]
             new_masks.append(masks[i] | masks[j])
             key = tuple(sorted(new_masks))
@@ -241,7 +241,7 @@ def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     while len(exts) > 1:
         # a merge that keeps the width so far beats every merge that raises
         # it, so scoring under that bound first picks the same pair
-        deg, uv, i, j, merged_red = (_scored(exts, adjs, reds, width) or _scored(exts, adjs, reds, n))[0]
+        deg, uv, i, j, merged_red = min(_scored(exts, adjs, reds, width) or _scored(exts, adjs, reds, n))
         width = max(width, deg)
         steps.append(uv)
         adjs, reds = _child_rows(adjs, reds, i, j, merged_red)

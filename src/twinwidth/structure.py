@@ -116,6 +116,8 @@ def verify_mesh(g: Graph, me: MeshEmbedding) -> tuple[bool, str | None]:
     for kind, paths in (("row", me.rows), ("column", me.cols)):
         seen: set[int] = set()
         for p in paths:
+            if not p:
+                return False, f"{kind} is empty"
             if len(set(p)) != len(p):
                 return False, f"{kind} repeats a vertex"
             if seen & set(p):

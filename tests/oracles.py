@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
 from twinwidth.io import FormatError
 from twinwidth.partitions import PartitionedTrigraph, VertexPartition
-from twinwidth.sequences import ContractionStep, SequenceError
+from twinwidth.sequences import SequenceError
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 
 
@@ -136,13 +136,15 @@ class NaiveReplayState:
     def __init__(self, g: Graph):
         self.black: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        self._next = g.n  # the next product's certificate id
         self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
         self._max_red = 0
 
-    def apply(self, step: ContractionStep) -> None:
-        u, v, x0 = step.u, step.v, step.product
+    def apply(self, u: int, v: int) -> None:
+        x0 = self._next
         if u not in self.black or v not in self.black:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+        self._next += 1
         drop = {u, v}
         n1 = (self.black[u] | self.red[u]) - drop
         n2 = (self.black[v] | self.red[v]) - drop

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twinwidth
 from twinwidth.cli import main_gen, main_lab, main_treewidth, main_tww, main
 from twinwidth.io import read_dimacs, read_pace_td, sequence_from_json, write_dimacs, write_partition
 from twinwidth.graphs import cycle_graph, path_graph
@@ -274,3 +278,56 @@ class TestUsageErrors:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1
+
+
+# (tool, argv) on malformed input; {g} is a valid graph (P4), and the
+# other placeholders name the broken files written by `malformed_files`
+_MALFORMED = [
+    ("tww", ["decide", "-d", "1", "{bad_graph}"]),
+    ("tww", ["exact", "--cap", "1", "{bad_graph}"]),
+    ("tww", ["verify", "--seq", "{dead_seq}", "{g}"]),
+    ("tww", ["zero", "{bad_graph}"]),
+    ("tww", ["greedy", "{bad_graph}"]),
+    ("tww", ["prefix", "-i", "1", "--seq", "{bad_json}", "{g}"]),
+    ("gen", ["wall", "-N", "0"]),
+    ("gen", ["mesh", "-N", "0"]),
+    ("gen", ["tww3family", "-N", "0"]),
+    ("gen", ["tww3family-seq", "-N", "0"]),
+    ("gen", ["grid", "-N", "-1"]),
+    ("lab", ["obs31", "{g}", "{bad_partition}", "-t", "1"]),
+    ("lab", ["witness", "{g}", "{partition}", "--parts", "1,x", "-t", "1"]),
+    ("lab", ["audit", "{g}", "{short_seq}", "--witness-at", "1", "--parts", "0,1,2,3", "-t", "1"]),
+    ("lab", ["step1", "{g}", "{seq}", "{empty_row_mesh}", "-k", "1"]),
+    ("lab", ["pipeline", "{bad_graph}", "-t", "2", "-k", "1"]),
+    ("treewidth", ["{bad_graph}"]),
+]
+
+
+@pytest.fixture
+def malformed_files(tmp_path):
+    texts = {
+        "g": write_dimacs(path_graph(4)),
+        "bad_graph": "e 1 2\n",
+        "seq": '{"n": 4, "steps": [{"u": 0, "v": 1}, {"u": 2, "v": 3}, {"u": 4, "v": 5}]}\n',
+        "dead_seq": '{"n": 4, "steps": [{"u": 0, "v": 1}, {"u": 0, "v": 2}, {"u": 5, "v": 3}]}\n',
+        "short_seq": '{"n": 4, "steps": []}\n',
+        "bad_json": "{\n",
+        "partition": "1\n2\n3\n4\n",
+        "bad_partition": "1 x\n",
+        "empty_row_mesh": '{"N": 1, "rows": [[]], "cols": [[0, 1]]}\n',
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in texts}
+
+
+@pytest.mark.parametrize("tool,argv", _MALFORMED, ids=[t if t == "treewidth" else f"{t} {a[0]}" for t, a in _MALFORMED])
+def test_malformed_input_exits_one_without_traceback(tool, argv, malformed_files):
+    """Every subcommand, run as a process on malformed input, exits 1
+    with an error line and no traceback."""
+    src = os.path.dirname(os.path.dirname(twinwidth.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "twinwidth", tool, *(a.format(**malformed_files) for a in argv)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, (done.returncode, done.stderr)
+    assert "Traceback" not in done.stderr and done.stderr.startswith("error:"), done.stderr

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -24,8 +25,9 @@ from twinwidth.io import (
     write_partition,
 )
 from twinwidth.partitions import partition_from_blocks
+from twinwidth.sequences import ContractionSequence, verify_width
 from twinwidth.solver import greedy_sequence
-from twinwidth.structure import gen_wall, wall_to_mesh
+from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
 from twinwidth.treewidth import treewidth_exact
 
 
@@ -177,6 +179,58 @@ class TestSequenceJson:
         with pytest.raises(FormatError) as exc:
             sequence_from_json(text)
         assert exc.value.line == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["n", "steps", "u", "v", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+_CERTIFICATES = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 5) | _JSON,
+        "steps": st.lists(
+            st.fixed_dictionaries({"u": st.integers(-1, 9), "v": st.integers(-1, 9)}) | _JSON, max_size=5
+        ),
+    }
+)
+_CERTIFICATE_TEXTS = st.one_of(
+    st.one_of(_CERTIFICATES, _JSON).map(json.dumps),
+    _CERTIFICATES.map(json.dumps).flatmap(lambda t: st.integers(0, len(t)).map(lambda k: t[:k])),
+    st.text(alphabet='{}[]":,0123456789 nstepuv\n', max_size=40),
+)
+
+
+class TestSequenceJsonTotal:
+    """The reader is total: each text parses to a sequence that writes back
+    to the same pairs, or raises FormatError with a line number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CERTIFICATE_TEXTS)
+    @example('{"n": 3, "steps": [{"u": 2, "v": 0}, {"u": 1, "v": 3}]}')
+    @example('{"n": 2, "steps": [{"u": 0, "v": 1, "x": null}]}')
+    @example('{"n": 2,\n "steps": [{"u": 0, "v": 1}],\n}')
+    def test_parses_or_names_a_line(self, text):
+        try:
+            s = sequence_from_json(text)
+        except FormatError as exc:
+            assert isinstance(exc.line, int) and exc.line >= 1
+            assert str(exc).startswith(f"line {exc.line}: ")
+            return
+        assert isinstance(s, ContractionSequence)
+        assert all(type(u) is int and type(v) is int and u < v for u, v in s.pairs())
+        assert sequence_from_json(sequence_to_json(s)) == s
+
+    def test_paper_certificate_reads_and_replays_at_scale(self):
+        """The tww3 certificate at N = 140 (19,740 vertices, 19,739 steps)
+        read from JSON and replayed."""
+        g, _ = gen_tww3_family(140)
+        text = sequence_to_json(tww3_family_sequence(140))
+        start = time.perf_counter()
+        s = sequence_from_json(text)
+        assert (s.n, len(s.steps)) == (19_740, 19_739)
+        assert verify_width(g, s) == 3
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPartitionText:

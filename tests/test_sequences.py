@@ -17,7 +17,6 @@ from twinwidth.graphs import (
     trigraph_from_graph,
 )
 from twinwidth.sequences import (
-    ContractionStep,
     ReplayState,
     SequenceError,
     apply_prefix,
@@ -55,8 +54,8 @@ def _random_merge_order(rng: random.Random, n: int):
 def _naive_trace(g, steps) -> list[int]:
     state = NaiveReplayState(g)
     trace = []
-    for step in steps:
-        state.apply(step)
+    for u, v in steps:
+        state.apply(u, v)
         trace.append(state.max_red_degree())
     return trace
 
@@ -66,15 +65,14 @@ def _lockstep(g, steps, seen=None) -> None:
     both after every step.  `seen` tallies each merge by how u and v are
     linked and by which side has more neighbours (the kept slot)."""
     fast, slow = ReplayState(g), NaiveReplayState(g)
-    for step in steps:
+    for u, v in steps:
         if seen is not None:
-            u, v = step.u, step.v
             link = "black" if v in slow.black[u] else "red" if v in slow.red[u] else "none"
             du = len(slow.black[u]) + len(slow.red[u])
             dv = len(slow.black[v]) + len(slow.red[v])
             seen[link, "u" if du > dv else "v" if dv > du else "tie"] += 1
-        fast.apply(step)
-        slow.apply(step)
+        fast.apply(u, v)
+        slow.apply(u, v)
         assert fast.snapshot() == slow.snapshot()
         assert fast.max_red_degree() == slow.max_red_degree() == _max_red_row(fast)
 
@@ -128,7 +126,7 @@ class TestKernelAgainstContract:
             state, t = ReplayState(g), trigraph_from_graph(g)
             for j in range(n - 1):
                 u, v = sorted(rng.sample(sorted(t.vertices), 2))
-                state.apply(ContractionStep(u, v, n + j))
+                state.apply(u, v)
                 t = contract(t, u, v, n + j)
                 assert state.snapshot() == t
                 assert state.max_red_degree() == max_red_degree(t) == _max_red_row(state)
@@ -142,15 +140,15 @@ class TestKernelAgainstContract:
             orders = [tww3_family_sequence(n)] + [_random_merge_order(rng, g.n) for _ in range(4)]
             for s in orders:
                 state = ReplayState(g)
-                for step in s.steps:
-                    state.apply(step)
+                for u, v in s.steps:
+                    state.apply(u, v)
                     assert state.max_red_degree() == _max_red_row(state)
 
     def test_apply_rejects_dead_vertices(self):
         state = ReplayState(path_graph(3))
-        state.apply(ContractionStep(0, 1, 3))
+        state.apply(0, 1)
         with pytest.raises(SequenceError):
-            state.apply(ContractionStep(0, 2, 4))
+            state.apply(0, 2)
 
 
 class TestKernelAgainstNaive:
@@ -185,8 +183,8 @@ class TestKernelAgainstNaive:
             assert verify_width(g, s) == max(trace)
             i = rng.randrange(g.n)
             slow = NaiveReplayState(g)
-            for step in s.steps[:i]:
-                slow.apply(step)
+            for u, v in s.steps[:i]:
+                slow.apply(u, v)
             assert apply_prefix(g, s, i) == slow.snapshot()
 
     def test_errors_match(self):
@@ -199,12 +197,11 @@ class TestKernelAgainstNaive:
             dead = sorted({x for p in pairs[:j] for x in p})
             bad = rng.choice([*dead, -1, 3 * n])
             pairs[j] = (bad, pairs[j][1])
-            steps = [ContractionStep(u, v, n + k) for k, (u, v) in enumerate(pairs)]
             messages = []
             for state in (ReplayState(g), NaiveReplayState(g)):
                 with pytest.raises(SequenceError) as exc:
-                    for step in steps:
-                        state.apply(step)
+                    for u, v in pairs:
+                        state.apply(u, v)
                 messages.append(str(exc.value))
             assert messages[0] == messages[1] == f"step merges dead or unknown vertex in ({pairs[j][0]},{pairs[j][1]})"
 

@@ -197,7 +197,7 @@ class TestChildScores:
                 for d in range(4):
                     got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
                     assert got == {uv: deg for uv, deg in want.items() if deg <= d}
-                got = _scored(live, adjs, reds, n)
+                got = sorted(_scored(live, adjs, reds, n))
                 assert [(deg, uv) for deg, uv, *_ in got] == sorted((deg, uv) for uv, deg in want.items())
                 assert all((live[a], live[b]) == uv for _, uv, a, b, _ in got)
                 scored += len(got)

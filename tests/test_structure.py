@@ -9,6 +9,7 @@ from twinwidth.partitions import partition_from_blocks, quotient
 from twinwidth.sequences import verify_width
 from twinwidth.treewidth import decomposition_from_order, min_fill_order, minor_min_width, verify_tree_decomposition
 from twinwidth.structure import (
+    MeshEmbedding,
     gen_tww3_family,
     gen_wall,
     has_ktt,
@@ -76,6 +77,13 @@ class TestMesh:
         me = wall_to_mesh(g, wl, 3)
         broken = type(me)(me.n, me.rows[:-1] + (me.rows[-1][:-2],), me.cols)
         assert not verify_mesh(g, broken)[0]
+
+    @pytest.mark.parametrize("kind", ["row", "column"])
+    def test_verify_rejects_empty_line(self, kind):
+        g, _ = gen_wall(6)
+        line = min(g.edges)
+        rows, cols = (((),), (line,)) if kind == "row" else ((line,), ((),))
+        assert verify_mesh(g, MeshEmbedding(1, rows, cols)) == (False, f"{kind} is empty")
 
 
 class TestFamily:
