@@ -1,99 +1,145 @@
 """Vertex-disjoint A-B paths and minimum vertex separators.
 
-Unit vertex capacities via the standard in/out splitting, held as one
-residual network (Ford & Fulkerson): each arc and its reverse carry a
-residual capacity, and an augmentation moves one unit from the arc to
-its reverse.  Breadth-first augmenting paths scan each node's arcs in
-node-id order, so flows, paths and cuts are deterministic.  The path
-count always equals the separator size, and a vertex in both A and B
-counts as a zero-length path that occupies the vertex.
+Unit vertex capacities via the standard in/out splitting (Ford &
+Fulkerson), held as a vertex-level residual state built from the allowed
+vertices alone, so a call costs what `within` holds, not what the whole
+graph holds.  Every vertex carries at most one unit, so the flow is one
+in-link and one out-link per vertex: the neighbour (or source) that sends
+it its unit and the neighbour (or sink) that receives it.  Breadth-first
+augmenting paths run over the implicit nodes source 0, sink 1,
+v_in = 2 + 2v and v_out = 3 + 2v and visit each node's residual arcs in
+node-id order, as the explicit split network would, so flows, paths and
+cuts are deterministic.  The path count always equals the separator size,
+and a vertex in both A and B counts as a zero-length path that occupies
+the vertex.
 """
-
-from collections import deque
 
 from .graphs import Graph
 
-_INF = 1 << 30
+_SOURCE = -1
+_SINK = -2
 
 
 class _VertexFlow:
-    """Residual network: source -> v_in -> v_out -> sink, vertex arcs cap 1.
+    """Unit flow on the split network of the allowed vertices.
 
-    `res[x][y]` is the residual capacity of arc x -> y; every arc has its
-    reverse beside it at 0, and no arc has an antiparallel twin, so an
-    arc's flow is its reverse arc's residual.
+    The allowed vertices are renumbered 0..k-1 in increasing order, which
+    keeps node-id order.  `rows[i]` holds the in-nodes of i and of its
+    allowed neighbours, in increasing order: the arcs out of i_out.  The
+    arc back to i_in is residual only when i carries flow; otherwise i_in
+    is i_out's only way in and already seen.  `into[i]` is the vertex
+    that sends i its unit, or _SOURCE, and `out[i]` the vertex that
+    receives it, or _SINK; both are None when i carries no flow.
     """
 
     def __init__(self, g: Graph, A, B, within):
-        allowed = set(range(g.n)) if within is None else set(within)
-        for side, name in ((A, "A"), (B, "B")):
-            for v in side:
-                g._check(v)
-                if v not in allowed:
-                    raise ValueError(f"{name} contains vertex {v} outside the allowed set")
-        if not A or not B:
-            raise ValueError("A and B must be nonempty")
-        self.allowed = allowed
+        allowed = frozenset(range(g.n) if within is None else within)
+        verts = sorted(allowed)
+        if verts:
+            g._check(verts[0])
+            g._check(verts[-1])
         self.A = frozenset(A)
         self.B = frozenset(B)
-        # node ids: 0 = source, 1 = sink, v_in = 2+2v, v_out = 3+2v
-        arcs = [(2 + 2 * v, 3 + 2 * v, 1) for v in allowed]
-        for u, v in g.edges:
-            if u in allowed and v in allowed:
-                arcs += [(3 + 2 * u, 2 + 2 * v, _INF), (3 + 2 * v, 2 + 2 * u, _INF)]
-        arcs += [(0, 2 + 2 * a, _INF) for a in self.A]
-        arcs += [(3 + 2 * b, 1, _INF) for b in self.B]
-        res: dict[int, dict[int, int]] = {}
-        for x, y, c in arcs:
-            res.setdefault(x, {})[y] = c
-            res.setdefault(y, {})[x] = 0
-        # scan each node's arcs, forward and reverse, in node-id order
-        self.res = {x: dict(sorted(out.items())) for x, out in res.items()}
-        self.arcs = [(x, y) for x, y, _ in arcs]
+        for side, name in ((self.A, "A"), (self.B, "B")):
+            if not side <= allowed:
+                v = min(side - allowed)
+                g._check(v)
+                raise ValueError(f"{name} contains vertex {v} outside the allowed set")
+        if not A or not B:
+            raise ValueError("A and B must be nonempty")
+        self.verts = verts
+        node = {v: 2 + 2 * i for i, v in enumerate(verts)}  # v's in-node
+        adj = g.adj
+        self.rows = [sorted(map(node.__getitem__, adj[v] & allowed | {v})) for v in verts]
+        self.sinks = frozenset(node[b] + 1 for b in self.B)  # out-nodes with an arc to the sink
+        self.starts = sorted(map(node.__getitem__, self.A))  # the source's arcs, in order
+        self.into: list[int | None] = [None] * len(verts)
+        self.out: list[int | None] = [None] * len(verts)
+        # search parents, kept across augmentations: the zeros make the
+        # source the parent of every A in-node, which no search rediscovers
+        self.parent = [0] * (2 * len(verts) + 2)
+        self.seen = bytearray()
 
-    def max_flow(self) -> tuple[int, set[int]]:
-        """Augment one unit along a shortest residual path until none is
-        left; returns the flow value and the nodes the source still reaches."""
-        res = self.res
-        value = 0
-        while True:
-            parent = {0: 0}
-            queue = deque([0])
-            while queue and 1 not in parent:
-                x = queue.popleft()
-                for y, r in res[x].items():
-                    if r > 0 and y not in parent:
+    def _augment(self) -> bool:
+        """Push one unit along a shortest residual path.  When the sink is
+        unreachable, return False and leave the nodes reached in `seen`."""
+        rows, into, sinks, parent = self.rows, self.into, self.sinks, self.parent
+        seen = bytearray(2 * len(rows) + 2)
+        queue = self.starts[:]
+        for x in queue:
+            seen[x] = 1
+        # the sink's parent is the first sink-side out-node popped, which
+        # is the first one queued: stop there
+        for x in queue:
+            i = (x - 2) >> 1
+            if x & 1:
+                for y in rows[i]:
+                    if not seen[y]:
+                        seen[y] = 1
                         parent[y] = x
                         queue.append(y)
-            if 1 not in parent:
-                return value, set(parent)
-            y = 1
-            while y != 0:
-                x = parent[y]
-                res[x][y] -= 1
-                res[y][x] += 1
-                y = x
+                continue
+            # i_in has one residual arc: to i_out when i is free, else back
+            # to its sender's out-node (or to the source, already seen)
+            u = into[i]
+            if u is None:
+                u = i
+            elif u == _SOURCE:
+                continue
+            y = 3 + 2 * u
+            if not seen[y]:
+                seen[y] = 1
+                parent[y] = x
+                if y in sinks:
+                    parent[1] = y
+                    break
+                queue.append(y)
+        else:
+            self.seen = seen
+            return False
+        path = [1]
+        while path[-1] != 0:
+            path.append(parent[path[-1]])
+        path.reverse()
+        out = self.out
+        for x, y in zip(path, path[1:]):
+            if x == 0:
+                into[(y - 2) >> 1] = _SOURCE
+            elif y == 1:
+                out[(x - 3) >> 1] = _SINK
+            else:
+                i, j = (x - 2) >> 1, (y - 2) >> 1
+                if i == j:
+                    continue  # a split arc: the links on either side carry it
+                if x & 1:
+                    out[i] = j
+                    into[j] = i
+                else:
+                    # cancel j -> i; i_in may already have a new sender
+                    out[j] = None
+                    if into[i] == j:
+                        into[i] = None
+        return True
+
+    def max_flow(self) -> int:
+        value = 0
+        while self._augment():
             value += 1
+        return value
 
     def paths(self) -> list[list[int]]:
-        """Decompose the integral flow into vertex paths."""
-        used = {(x, y): self.res[y][x] for x, y in self.arcs}
+        """Decompose the flow into vertex paths along the out-links."""
+        verts, out = self.verts, self.out
         result = []
-        while True:
-            # trace one unit from the source along positive flow arcs
-            start = next((y for y in self.res[0] if used.get((0, y), 0) > 0), None)
-            if start is None:
-                break
-            used[(0, start)] -= 1
-            node, path = start, []
-            while node != 1:
-                if node % 2 == 0:
-                    path.append((node - 2) // 2)
-                nxt = next((y for y in self.res[node] if used.get((node, y), 0) > 0), None)
-                if nxt is None:
+        for i, sender in enumerate(self.into):
+            if sender != _SOURCE:
+                continue
+            path = [verts[i]]
+            while out[i] != _SINK:
+                i = out[i]
+                if i is None:
                     raise AssertionError("flow decomposition lost a unit")
-                used[(node, nxt)] -= 1
-                node = nxt
+                path.append(verts[i])
             result.append(path)
         return sorted(result)
 
@@ -106,7 +152,7 @@ def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]
     restricts the search to an induced subgraph.
     """
     net = _VertexFlow(g, A, B, within)
-    value, _ = net.max_flow()
+    value = net.max_flow()
     paths = net.paths()
     if len(paths) != value:
         raise AssertionError("path decomposition does not match the flow value")
@@ -123,10 +169,9 @@ def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]
 def min_vertex_cut(g: Graph, A, B, within=None) -> frozenset[int]:
     """A minimum vertex set meeting every A-B path (may include A or B vertices)."""
     net = _VertexFlow(g, A, B, within)
-    value, side = net.max_flow()
-    cut = frozenset(
-        v for v in net.allowed if (2 + 2 * v) in side and (3 + 2 * v) not in side
-    )
+    value = net.max_flow()
+    seen = net.seen
+    cut = frozenset(v for i, v in enumerate(net.verts) if seen[2 + 2 * i] and not seen[3 + 2 * i])
     if len(cut) != value:
         raise AssertionError("max-flow/min-cut mismatch")
     return cut

@@ -152,6 +152,7 @@ def read_partition(text: str, n: int) -> VertexPartition:
     Part ids are 1-based line positions (blank and comment lines skipped).
     """
     blocks = []
+    owner: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -160,9 +161,12 @@ def read_partition(text: str, n: int) -> VertexPartition:
             vals = [int(x) for x in line.split()]
         except ValueError:
             raise FormatError(lineno, "non-integer vertex id") from None
+        pid = len(blocks) + 1
         for x in vals:
             if not (1 <= x <= n):
                 raise FormatError(lineno, f"vertex {x} out of range 1..{n}")
+            if owner.setdefault(x, pid) != pid:
+                raise FormatError(lineno, f"vertex {x} is already in part {owner[x]}")
         blocks.append(frozenset(x - 1 for x in vals))
     try:
         return partition_from_blocks(n, blocks, ids=list(range(1, len(blocks) + 1)))

@@ -138,6 +138,8 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     """
     if d < 0:
         raise ValueError("width bound must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     n = g.n
     adj = _adjacency_rows(g)
     visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}

@@ -288,6 +288,11 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
     return None, expanded
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
+
+
 def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
     """An elimination order of width <= k, or None if none exists.
 
@@ -303,11 +308,13 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
 
     May raise BudgetExceeded after `budget` expanded states.
     """
+    _check_budget(budget)
     return _search(g, k, budget)[0]
 
 
 def treewidth_decide(g: Graph, k: int, budget: int | None = None) -> bool:
     """Exact decision: tree-width <= k?  May raise BudgetExceeded."""
+    _check_budget(budget)
     if k < 0:
         return g.n == 0
     return treewidth_order(g, k, budget) is not None
@@ -353,6 +360,7 @@ def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
     budget.  On budget exhaustion the best bounds so far are reported as
     UNKNOWN.
     """
+    _check_budget(budget)
     if g.n == 0:
         return TreewidthResult("exact", -1, TreeDecomposition(((0, frozenset()),), ()), -1, -1, 0)
     order, ub = min_fill_order(g)

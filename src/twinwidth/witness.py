@@ -110,11 +110,16 @@ def check_witness(
             raise WitnessViolation(f"{name} not red")
     if pair(x1, x4) in red or pair(x1, x4) in pt.quotient.black:
         raise WitnessViolation("x1-x4 adjacent")
+    w2 = black_neighborhood_weight(pt, x2)
+    w3 = black_neighborhood_weight(pt, x3)
+    # X1 and X4 are disjoint and unjoined, so every X1-X4 path starts in
+    # X1, ends in X4 and enters X4 from X2 | X3: that bounds s without a flow
+    bound = min(p.size(x1), p.size(x4), p.size(x2) + p.size(x3))
+    if bound + w2 + w3 < 4 * t:
+        raise WitnessViolation("inequality below 4t", f"s<={bound}, w2={w2}, w3={w3}, 4t={4 * t}")
     union = p.members(x1) | p.members(x2) | p.members(x3) | p.members(x4)
     # Menger: the most vertex-disjoint X1-X4 paths equals the smallest X1-X4 separator
     s = len(min_vertex_cut(g, p.members(x1), p.members(x4), within=union))
-    w2 = black_neighborhood_weight(pt, x2)
-    w3 = black_neighborhood_weight(pt, x3)
     if s + w2 + w3 < 4 * t:
         raise WitnessViolation("inequality below 4t", f"s={s}, w2={w2}, w3={w3}, 4t={4 * t}")
     return WitnessState(len(p), x1, x2, x3, x4, t, s, w2, w3)

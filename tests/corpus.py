@@ -163,5 +163,16 @@ def random_partition(rng: random.Random, n: int):
     return blocks
 
 
+def red_paths(red_adj) -> list[tuple[int, int, int, int]]:
+    """Every red path X1-X2-X3-X4 on four distinct parts, in both directions."""
+    return [
+        (x1, x2, x3, x4)
+        for x2 in sorted(red_adj)
+        for x3 in sorted(red_adj[x2])
+        for x1 in sorted(red_adj[x2] - {x3})
+        for x4 in sorted(red_adj[x3] - {x1, x2})
+    ]
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
     return graph_from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])

@@ -7,7 +7,8 @@ trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree; the
 naive quotient colours each part pair by its own crossing count, and
-the naive flow keeps capacities and flows apart; the naive replay
+the naive flow keeps capacities and flows apart, and the naive witness
+check runs that flow before the inequality; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
 product; the naive DIMACS reader normalises each edge twice; the
 separator oracle enumerates vertex subsets exhaustively.
@@ -17,11 +18,13 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from twinwidth.connectivity import min_vertex_cut
 from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
 from twinwidth.io import FormatError
-from twinwidth.partitions import PartitionedTrigraph, VertexPartition
+from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient
 from twinwidth.sequences import SequenceError
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
+from twinwidth.witness import WitnessState, WitnessViolation, black_neighborhood_weight
 
 
 # ------------------------------------------------- twin-width brute force
@@ -719,6 +722,47 @@ def naive_min_vertex_cut(g: Graph, A, B, within=None) -> frozenset[int]:
     if len(cut) != value:
         raise AssertionError("max-flow/min-cut mismatch")
     return cut
+
+
+def naive_check_witness(
+    g: Graph,
+    p: VertexPartition,
+    x1: int,
+    x2: int,
+    x3: int,
+    x4: int,
+    t: int,
+    pt: PartitionedTrigraph | None = None,
+) -> WitnessState:
+    """`witness.check_witness` with the flow always run: s is the
+    minimum X1-X4 separator even when the part sizes already rule the
+    inequality out."""
+    if pt is not None and pt.partition != p:
+        raise ValueError("pt is the quotient of another partition")
+    ids = (x1, x2, x3, x4)
+    if len(set(ids)) != 4:
+        raise WitnessViolation("parts not distinct")
+    for x in ids:
+        p.members(x)
+    if pt is None:
+        pt = quotient(g, p)
+    for x in ids:
+        if p.size(x) < t:
+            raise WitnessViolation("part too small", f"|{x}| = {p.size(x)} < t = {t}")
+    red = pt.quotient.red
+    for a, b, name in ((x1, x2, "x1-x2"), (x2, x3, "x2-x3"), (x3, x4, "x3-x4")):
+        if pair(a, b) not in red:
+            raise WitnessViolation(f"{name} not red")
+    if pair(x1, x4) in red or pair(x1, x4) in pt.quotient.black:
+        raise WitnessViolation("x1-x4 adjacent")
+    union = p.members(x1) | p.members(x2) | p.members(x3) | p.members(x4)
+    # Menger: the most vertex-disjoint X1-X4 paths equals the smallest X1-X4 separator
+    s = len(min_vertex_cut(g, p.members(x1), p.members(x4), within=union))
+    w2 = black_neighborhood_weight(pt, x2)
+    w3 = black_neighborhood_weight(pt, x3)
+    if s + w2 + w3 < 4 * t:
+        raise WitnessViolation("inequality below 4t", f"s={s}, w2={w2}, w3={w3}, 4t={4 * t}")
+    return WitnessState(len(p), x1, x2, x3, x4, t, s, w2, w3)
 
 
 # -------------------------------------------------------- separator oracle

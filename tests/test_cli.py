@@ -273,6 +273,25 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "tool,argv",
+        [
+            (main_tww, ["decide", "-d", "1", "--budget", "-5", "{g}"]),
+            (main_tww, ["exact", "--cap", "1", "--budget", "-5", "{g}"]),
+            (main_treewidth, ["{g}", "--budget", "-1"]),
+            (main_lab, ["pipeline", "{g}", "-t", "2", "-k", "1", "--budget", "-1"]),
+        ],
+    )
+    def test_negative_budget_exits_one(self, tool, argv, tmp_path, capsys):
+        # `tww decide` exited 2 without searching and `treewidth` exited 0
+        from twinwidth.structure import gen_wall
+
+        f = tmp_path / "wall3.gr"
+        f.write_text(write_dimacs(gen_wall(3)[0]))
+        assert tool([a.format(g=f) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: budget must be nonnegative\n"
+
     def test_umbrella_usage_errors(self, capsys):
         for argv in (["tww", "bogus"], ["treewidth"]):
             with pytest.raises(SystemExit) as exc:

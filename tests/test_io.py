@@ -254,6 +254,76 @@ class TestPartitionText:
         with pytest.raises(FormatError):
             read_partition("1 2\n", 3)
 
+    def test_repeated_vertex_names_its_line(self):
+        # this read "line 1: parts are not disjoint"
+        with pytest.raises(FormatError) as exc:
+            read_partition("1 2\nc note\n3\n\n4 2\n", 4)
+        assert str(exc.value) == "line 5: vertex 2 is already in part 1"
+
+
+def _parses_or_names_a_line(read, text):
+    """read(text), or None after a FormatError with a line number."""
+    try:
+        return read(text)
+    except FormatError as exc:
+        assert isinstance(exc.line, int) and exc.line >= 1
+        assert str(exc).startswith(f"line {exc.line}: ")
+        return None
+
+
+def _token_lines(tokens):
+    return st.lists(st.lists(st.sampled_from(tokens), max_size=6).map(" ".join), max_size=8).map("\n".join)
+
+
+_PARTITION_TEXTS = _token_lines(["1", "2", "3", "4", "5", "0", "-1", "x", "c", "1.5"])
+_PACE_TEXTS = st.one_of(
+    _token_lines(["s", "td", "b", "c", "0", "1", "2", "3", "4", "-1", "x"]),
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), _token_lines(["b", "1", "2", "3", "4", "0", "x"])).map(
+        lambda t: f"s td {t[0]} {t[1]} {t[2]}\n{t[3]}"
+    ),
+)
+_MESH_TEXTS = st.one_of(
+    st.fixed_dictionaries(
+        {"N": st.integers(-1, 3) | _JSON, "rows": st.lists(st.lists(st.integers(-1, 9)), max_size=3) | _JSON,
+         "cols": st.lists(st.lists(st.integers(-1, 9)), max_size=3) | _JSON}
+    ).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(alphabet='{}[]":,0123456789 Nrowscl\n', max_size=40),
+)
+
+
+class TestReadersAreTotal:
+    """Each text parses, or raises FormatError with a line number.  The
+    three readers already behaved so; these tests pin it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), _PARTITION_TEXTS)
+    @example(3, "1 2\n3 1\n")
+    @example(3, "1 1 2\n3\n")
+    def test_partition(self, n, text):
+        p = _parses_or_names_a_line(lambda t: read_partition(t, n), text)
+        if p is not None:
+            assert sorted(v for _, members in p.parts for v in members) == list(range(n))
+            assert read_partition(write_partition(p), n) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PACE_TEXTS)
+    @example("s td 0 0 3\n")
+    @example("s td 1 2 3\nb 1 1 3\n1 1\n")
+    def test_pace_td(self, text):
+        td = _parses_or_names_a_line(read_pace_td, text)
+        if td is not None:
+            n = max((v + 1 for _, bag in td.bags for v in bag), default=0)
+            assert read_pace_td(write_pace_td(td, n)) == td
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MESH_TEXTS)
+    @example('{"N": 1, "rows": [[0, 1]], "cols": [[1, 0]]}')
+    def test_mesh(self, text):
+        me = _parses_or_names_a_line(mesh_from_json, text)
+        if me is not None:
+            assert mesh_from_json(mesh_to_json(me)) == me
+
 
 class TestPace:
     def test_round_trip(self):

@@ -80,6 +80,10 @@ class TestPipeline:
         r = pipeline_certify(grid_graph(5), 2, 4, budget=3)
         assert r.status == "unknown"
 
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            pipeline_certify(grid_graph(5), 2, 4, budget=-1)
+
     def test_regime_floor_value(self):
         assert regime_floor(1) == 16 * 169
         assert regime_floor(2) == 16 * 676

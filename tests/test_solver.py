@@ -49,6 +49,13 @@ class TestDecide:
         assert r.status == "unknown"
         assert r.sequence is None
 
+    def test_negative_budget_is_rejected(self):
+        # these returned UNKNOWN without searching
+        with pytest.raises(ValueError, match="budget"):
+            decide_twinwidth_at_most(cycle_graph(7), 2, budget=-5)
+        with pytest.raises(ValueError, match="budget"):
+            twinwidth_exact(path_graph(4), 2, budget=-1)
+
     def test_monotone_in_d(self):
         rng = random.Random(5)
         for _ in range(15):

@@ -100,6 +100,18 @@ class TestDecide:
         with pytest.raises(BudgetExceeded):
             treewidth_decide(grid_graph(5), 4, budget=3)
 
+    def test_negative_budget_is_rejected(self):
+        # these ignored the budget, even where the search ran
+        for call in (
+            lambda: treewidth_order(grid_graph(5), 4, budget=-1),
+            lambda: treewidth_decide(grid_graph(5), 4, budget=-1),
+            lambda: treewidth_decide(grid_graph(5), -1, budget=-1),
+            lambda: treewidth_exact(grid_graph(5), budget=-1),
+            lambda: treewidth_exact(path_graph(0), budget=-1),
+        ):
+            with pytest.raises(ValueError, match="budget"):
+                call()
+
     def test_order_is_a_certificate(self):
         g = grid_graph(4)  # tree-width 4
         order = treewidth_order(g, 4)

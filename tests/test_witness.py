@@ -1,8 +1,12 @@
 import dataclasses
+import random
 
 import pytest
 
+from corpus import random_graph, random_partition, red_paths
+from oracles import naive_check_witness
 from plants import planted_cases, starved_cases
+from twinwidth import witness
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges
 from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition
 from twinwidth.sequences import (
@@ -149,6 +153,68 @@ class TestCheckWitness:
         split = Split(min(x1), min(x1), x1 - {b}, b, frozenset({b}))
         with pytest.raises(ValueError, match="another partition"):
             advance_witness(g, p, w, split, pt=other)
+
+
+def _verdict(check, g, p, ids, t, pt):
+    try:
+        return check(g, p, *ids, t, pt=pt)
+    except WitnessViolation as exc:
+        return exc.condition
+
+
+class TestCheckWitnessAgainstNaive:
+    """Bounding s by the part sizes before the flow changes no outcome:
+    the same WitnessState, or the same failed condition, as the check
+    that always runs the flow (`oracles.naive_check_witness`)."""
+
+    def test_random_partitions_every_red_path(self, monkeypatch):
+        flows = []
+        cut = witness.min_vertex_cut
+        monkeypatch.setattr(witness, "min_vertex_cut", lambda *a, **kw: flows.append(a) or cut(*a, **kw))
+        rng = random.Random(2024)
+        outcomes = {}
+        for i in range(300):
+            n = rng.randint(8, 20)
+            g = random_graph(rng, n, (i % 5 + 1) / 20)
+            if i % 3:
+                # a few big parts, so that the flow decides some verdicts
+                k = rng.randint(4, 7)
+                order = rng.sample(range(n), n)
+                blocks = [order[j::k] for j in range(k)]
+            else:
+                blocks = random_partition(rng, n)
+            p = partition_from_blocks(n, blocks)
+            pt = quotient(g, p)
+            for ids in red_paths(pt.quotient.red_adj):
+                for t in (1, 2, 3):
+                    got = _verdict(check_witness, g, p, ids, t, pt)
+                    assert got == _verdict(naive_check_witness, g, p, ids, t, pt), (i, ids, t)
+                    kind = got if isinstance(got, str) else "valid"
+                    outcomes[kind] = outcomes.get(kind, 0) + 1
+        # the naive check runs a flow for every valid state and every
+        # inequality failure; the bound settles some failures without one
+        naive_flows = outcomes["valid"] + outcomes["inequality below 4t"]
+        assert 0 < outcomes["valid"] < len(flows) < naive_flows
+        assert outcomes["part too small"] and outcomes["x1-x4 adjacent"]
+
+    def test_paths_may_bypass_x2(self):
+        # X1 = {0, 1, 2}, X2 = {3}, X3 = {4, 5, 6}, X4 = {7, 8, 9}: two of
+        # the three disjoint paths go X1-X3-X4, so s = 3 > |X2|; part {10}
+        # is black to X2, and s + w2 + w3 = 4 = 4t meets the inequality
+        edges = [(0, 3), (3, 4), (4, 7), (1, 5), (5, 8), (2, 6), (6, 9), (3, 10)]
+        g = graph_from_edges(11, edges)
+        p = partition_from_blocks(11, [{0, 1, 2}, {3}, {4, 5, 6}, {7, 8, 9}, {10}])
+        w = check_witness(g, p, 0, 3, 4, 7, 1)
+        assert (w.s, w.w2, w.w3) == (3, 1, 0)
+        assert w == naive_check_witness(g, p, 0, 3, 4, 7, 1)
+
+    def test_bound_names_the_path_count_bound(self):
+        g, x1, x2, x3, x4 = four_blobs(size=2, paths=2)
+        p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+        with pytest.raises(WitnessViolation) as exc:
+            check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 1)
+        assert exc.value.condition == "inequality below 4t"
+        assert str(exc.value) == "inequality below 4t: s<=2, w2=0, w3=0, 4t=4"
 
 
 class TestAdvanceWitness:
