@@ -5,7 +5,8 @@ iff some G-edge crosses P1 x P2, and the edge is red iff the crossing is
 not complete.  A part pair with zero crossing edges is a non-edge, not a
 black edge.  One pass over G's edges counts the crossings of every part
 pair, so a quotient costs O(n + m) whatever the number of parts;
-`split_part` rebuilds it that way too.
+`split_part` rebuilds it that way too, after `refine_part`, the one
+place the split rule is written.
 """
 
 from collections import Counter
@@ -98,6 +99,23 @@ def quotient(g: Graph, p: VertexPartition) -> PartitionedTrigraph:
     return PartitionedTrigraph(p, Trigraph(frozenset(p.ids()), black, frozenset(crossing.keys() - black)))
 
 
+def refine_part(parts: dict[int, frozenset[int]], parent: int, child_a, child_b) -> None:
+    """The split rule, applied in place to an id -> members map: part
+    `parent` gives way to two nonempty, disjoint halves (id, members) that
+    cover it, under ids that no other live part holds.  A ValueError names
+    the rule broken and leaves the map half-updated."""
+    if parent not in parts:
+        raise ValueError(f"unknown part id {parent}")
+    whole = parts.pop(parent)
+    (_, seta), (_, setb) = child_a, child_b
+    if not seta or not setb or (seta & setb) or (seta | setb) != whole:
+        raise ValueError("children must split the parent part into two nonempty sets")
+    for cid, members in (child_a, child_b):
+        if cid in parts:
+            raise ValueError(f"child id {cid} collides with an existing part")
+        parts[cid] = frozenset(members)
+
+
 def split_part(
     g: Graph,
     pt: PartitionedTrigraph,
@@ -105,18 +123,9 @@ def split_part(
     child_a: tuple[int, frozenset[int]],
     child_b: tuple[int, frozenset[int]],
 ) -> PartitionedTrigraph:
-    """Refine one part into two; the refined partition's quotient, built
-    by `quotient` in one pass over g's edges."""
+    """Refine one part into two by `refine_part`; the refined partition's
+    quotient, built by `quotient` in one pass over g's edges."""
     p = pt.partition
-    members = p.members(parent)
-    ida, seta = child_a
-    idb, setb = child_b
-    if not seta or not setb or (seta & setb) or (seta | setb) != members:
-        raise ValueError("children must split the parent part into two nonempty sets")
-    for cid in (ida, idb):
-        if cid != parent and cid in p.by_id:
-            raise ValueError(f"child id {cid} collides with an existing part")
-    new_parts = tuple(sorted(
-        [(pid, mem) for pid, mem in p.parts if pid != parent] + [(ida, frozenset(seta)), (idb, frozenset(setb))]
-    ))
-    return quotient(g, VertexPartition(p.n, new_parts))
+    parts = dict(p.parts)
+    refine_part(parts, parent, child_a, child_b)
+    return quotient(g, VertexPartition(p.n, tuple(sorted(parts.items()))))

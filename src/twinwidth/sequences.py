@@ -8,12 +8,17 @@ each normalised to u < v; a product id is never stored, since it follows
 from the step's position.  The replay kernel keys its rows by slot (one
 of 0..n-1) and maps slots back to certificate ids only when it takes a
 snapshot.
+
+The uncontraction view is a chain of partitions from {V} to singletons.
+A chain is checked once, by the split rule of `partitions.refine_part`
+when its `UncontractionSequence` is built, and then read without
+re-checking.
 """
 
 from dataclasses import dataclass
 
 from .graphs import Graph, Trigraph, pair
-from .partitions import VertexPartition
+from .partitions import VertexPartition, refine_part
 
 
 class SequenceError(ValueError):
@@ -183,7 +188,11 @@ class Split:
 
 @dataclass(frozen=True)
 class UncontractionSequence:
-    """Chain of partitions from {V} to singletons, splitting one part per step."""
+    """Chain of partitions from {V} to singletons, splitting one part per step.
+
+    Checked once, here: from {root_id: V}, each of the n-1 splits obeys
+    `partitions.refine_part`, or a SequenceError names the first that
+    does not."""
 
     n: int
     root_id: int
@@ -192,27 +201,26 @@ class UncontractionSequence:
     def __post_init__(self):
         if len(self.splits) != self.n - 1:
             raise SequenceError(f"expected {self.n - 1} splits, got {len(self.splits)}")
+        parts = {self.root_id: frozenset(range(self.n))}
+        for i, sp in enumerate(self.splits):
+            try:
+                refine_part(parts, sp.parent, (sp.id_a, sp.set_a), (sp.id_b, sp.set_b))
+            except ValueError as exc:
+                raise SequenceError(f"split {i}: {exc}") from None
 
 
 def partitions_at(u: UncontractionSequence, i: int) -> VertexPartition:
-    """The i-th partition of the chain; i=1 is {V}, i=n is singletons."""
+    """The i-th partition of the chain; i=1 is {V}, i=n is singletons.
+    The chain was checked when it was built, so its first i-1 splits
+    replay as plain dict updates."""
     if not (1 <= i <= u.n):
         raise SequenceError(f"partition index {i} out of range 1..{u.n}")
     parts: dict[int, frozenset[int]] = {u.root_id: frozenset(range(u.n))}
     for sp in u.splits[: i - 1]:
-        apply_split(parts, sp)
+        del parts[sp.parent]
+        parts[sp.id_a] = sp.set_a
+        parts[sp.id_b] = sp.set_b
     return VertexPartition(u.n, tuple(sorted(parts.items())))
-
-
-def apply_split(parts: dict[int, frozenset[int]], sp: Split) -> None:
-    """Replace part `sp.parent` of the id -> members map by its two halves."""
-    if sp.parent not in parts:
-        raise SequenceError(f"split of unknown part {sp.parent}")
-    whole = parts.pop(sp.parent)
-    if sp.set_a | sp.set_b != whole or (sp.set_a & sp.set_b) or not sp.set_a or not sp.set_b:
-        raise SequenceError(f"split of part {sp.parent} is not a two-way partition of it")
-    parts[sp.id_a] = sp.set_a
-    parts[sp.id_b] = sp.set_b
 
 
 def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
@@ -244,23 +252,19 @@ def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:
 
     `chain` lists n partitions as iterables of vertex sets, starting at
     {V} and ending at singletons, each refining the previous by splitting
-    exactly one part.  Part ids are each part's minimum vertex.
+    exactly one part.  Part ids are each part's minimum vertex.  Each split
+    is derived from two adjacent levels; the constructor checks the rest.
     """
-    levels = [sorted(frozenset(b) for b in level) for level in chain]
-    if len(levels) != n:
-        raise SequenceError(f"chain must have {n} partitions, got {len(levels)}")
-    if levels[0] != [frozenset(range(n))]:
+    levels = [{frozenset(b) for b in level} for level in chain]
+    if levels[:1] != [{frozenset(range(n))}]:
         raise SequenceError("chain must start at the one-part partition")
     splits = []
-    for i in range(1, n):
-        prev, cur = set(levels[i - 1]), set(levels[i])
-        gone, new = prev - cur, cur - prev
+    for i in range(1, len(levels)):
+        gone, new = levels[i - 1] - levels[i], levels[i] - levels[i - 1]
         if len(gone) != 1 or len(new) != 2:
             raise SequenceError(f"chain step {i} does not split exactly one part in two")
         (parent,) = gone
         a, b = sorted(new, key=min)
-        if a | b != parent:
-            raise SequenceError(f"chain step {i} children do not cover the split part")
         splits.append(Split(min(parent), min(a), a, min(b), b))
     return UncontractionSequence(n, 0, tuple(splits))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .connectivity import max_disjoint_paths, min_vertex_cut
 from .graphs import Graph, max_red_degree, pair
 from .partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
-from .sequences import Split, UncontractionSequence, apply_split, partitions_at
+from .sequences import Split, UncontractionSequence, partitions_at
 from .structure import MeshEmbedding, verify_mesh
 
 MAINTAINED = "maintained"
@@ -138,16 +138,16 @@ def advance_witness(
     w: WitnessState,
     split: Split,
     pt: PartitionedTrigraph | None = None,
-    pt_next: PartitionedTrigraph | None = None,
 ) -> InvariantReport:
     """Push a witness through one uncontraction split.
 
-    MAINTAINED carries the successor (always re-validated).  When the
-    constructive cases cannot produce a valid successor the report is
+    MAINTAINED carries the successor (validated when it is made).  When
+    the constructive cases cannot produce a valid successor the report is
     VIOLATED_RED_DEGREE: under the invariant's hypotheses that only
     happens when maintenance would force a third red edge somewhere.
     VIOLATED_STRUCTURE means the input state itself was not a witness.
-    A given `pt` must be the quotient of p_j (ValueError otherwise).
+    A given `pt` must be the quotient of p_j, and the split must obey the
+    split rule of `partitions.refine_part` (ValueError otherwise).
     """
     if pt is None:
         pt = quotient(g, p_j)
@@ -155,10 +155,13 @@ def advance_witness(
         w = check_witness(g, p_j, w.x1, w.x2, w.x3, w.x4, w.t, pt=pt)
     except WitnessViolation as exc:
         return InvariantReport(VIOLATED_STRUCTURE, f"input not a witness: {exc.condition}", None)
-    if split.parent not in p_j.by_id:
-        raise ValueError(f"split of part {split.parent} is inconsistent with the partition")
-    if pt_next is None:
-        pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
+    pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
+    return _advance(g, p_j, w, split, pt_next)
+
+
+def _advance(g: Graph, p_j: VertexPartition, w: WitnessState, split: Split, pt_next) -> InvariantReport:
+    """The case analysis of `advance_witness`, for a validated state w on
+    p_j and the quotient pt_next of the split partition."""
     p_next = pt_next.partition
     t = w.t
     x = split.parent
@@ -172,7 +175,7 @@ def advance_witness(
         return InvariantReport(MAINTAINED, "outside", state)
 
     if x in (w.x4, w.x3):
-        flipped = advance_witness(g, p_j, w.reversed(), split, pt=pt, pt_next=pt_next)
+        flipped = _advance(g, p_j, w.reversed(), split, pt_next)
         succ = flipped.successor.reversed() if flipped.successor else None
         return InvariantReport(flipped.verdict, flipped.case + " (mirrored)", succ)
 
@@ -233,10 +236,9 @@ def audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int)
     NO_WITNESS: w0 did not validate at its position.
     """
     m = w0.index
-    p = partitions_at(u, m)
-    pt = quotient(g, p)
+    pt = quotient(g, partitions_at(u, m))
     try:
-        w = check_witness(g, p, w0.x1, w0.x2, w0.x3, w0.x4, t, pt=pt)
+        w = check_witness(g, pt.partition, w0.x1, w0.x2, w0.x3, w0.x4, t, pt=pt)
     except WitnessViolation as exc:
         return AuditResult("no-witness", m, exc.condition)
     if max_red_degree(pt.quotient) > 2:
@@ -246,13 +248,10 @@ def audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int)
         pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
         if max_red_degree(pt_next.quotient) > 2:
             return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
-        rep = advance_witness(g, p, w, split, pt=pt, pt_next=pt_next)
+        rep = _advance(g, pt.partition, w, split, pt_next)
         if rep.verdict == VIOLATED_RED_DEGREE:
             return AuditResult("contradiction-found", j + 1, rep.case)
-        if rep.verdict == VIOLATED_STRUCTURE:
-            raise AssertionError(f"witness invalidated mid-chain: {rep.case}")
         w = rep.successor
-        p = pt_next.partition
         pt = pt_next
     return AuditResult("contradiction-found", u.n, "witness survived to the singleton partition")
 
@@ -274,8 +273,9 @@ def check_path_layout(g: Graph, p: VertexPartition, x1: int, x2: int, x3: int, x
     if len(set(ids)) != 4:
         raise ValueError("parts must be distinct")
     mem = {x: p.members(x) for x in ids}
+    q = quotient(g, p).quotient
     for a, b, name in ((x1, x3, "x1-x3"), (x2, x4, "x2-x4"), (x1, x4, "x1-x4")):
-        if any((u in mem[a] and v in mem[b]) or (u in mem[b] and v in mem[a]) for u, v in g.edges):
+        if pair(a, b) in q.red or pair(a, b) in q.black:
             return LayoutReport(False, f"{name} edge present")
     union = mem[x1] | mem[x2] | mem[x3] | mem[x4]
     _, paths = max_disjoint_paths(g, mem[x1], mem[x4], within=union)
@@ -340,9 +340,10 @@ def find_mesh_witness(
     m = 1
     while heavy and m < u.n:
         sp = u.splits[m - 1]
-        apply_split(blocks, sp)
+        del blocks[sp.parent]
         heavy -= weights.pop(sp.parent) >= heavy_all
         for cid, members in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
+            blocks[cid] = members
             weights[cid] = len(members & bv)
             heavy += weights[cid] >= heavy_all
         m += 1
@@ -359,13 +360,10 @@ def find_mesh_witness(
         )
     zm = p.members(z)
 
-    rows_hit = [i for i, line in enumerate(mesh.rows) if set(line) & bv & zm]
-    cols_hit = [i for i, line in enumerate(mesh.cols) if set(line) & bv & zm]
-    if len(rows_hit) >= k:
-        lines = [mesh.rows[i] for i in rows_hit]
-    elif len(cols_hit) >= k:
-        lines = [mesh.cols[i] for i in cols_hit]
-    else:
+    rows_hit = [line for line in mesh.rows if set(line) & bv & zm]
+    cols_hit = [line for line in mesh.cols if set(line) & bv & zm]
+    lines = rows_hit if len(rows_hit) >= k else cols_hit
+    if len(lines) < k:
         return MeshSearchMiss("too few rows and columns", f"rows={len(rows_hit)}, cols={len(cols_hit)} < k={k}")
 
     pt = quotient(g, p)
@@ -373,21 +371,13 @@ def find_mesh_witness(
 
     if len(reds[z]) > 2:
         return MeshSearchMiss("red degree above 2 on chain", f"part {z} has red degree {len(reds[z])}")
-    zn = sorted(reds[z])
-    l1 = zn[0] if zn else None
-    r1 = zn[1] if len(zn) > 1 else None
-    l2 = r2 = None
-    if l1 is not None:
-        beyond = sorted(reds[l1] - {z})
+    sides = []  # (L1, L2) then (R1, R2): the red chain on each side of Z
+    for a1 in [*sorted(reds[z]), None, None][:2]:
+        beyond = sorted(reds[a1] - {z}) if a1 is not None else []
         if len(beyond) > 1:
-            return MeshSearchMiss("red degree above 2 on chain", f"part {l1} has red degree {len(reds[l1])}")
-        l2 = beyond[0] if beyond else None
-    if r1 is not None:
-        beyond = sorted(reds[r1] - {z})
-        if len(beyond) > 1:
-            return MeshSearchMiss("red degree above 2 on chain", f"part {r1} has red degree {len(reds[r1])}")
-        r2 = beyond[0] if beyond else None
-    family = {pid for pid in (l2, l1, z, r1, r2) if pid is not None}
+            return MeshSearchMiss("red degree above 2 on chain", f"part {a1} has red degree {len(reds[a1])}")
+        sides.append((a1, beyond[0] if beyond else None))
+    family = {z} | {pid for side in sides for pid in side if pid is not None}
 
     part_of = p.part_of
     escapes = []
@@ -418,12 +408,8 @@ def find_mesh_witness(
     if len(escapes) < k:
         return MeshSearchMiss("row escape failed", f"only {len(escapes)} of {k} lines escape the chain parts")
 
-    def side_ok(a, b):
-        return a is not None and b is not None and p.size(a) >= t and p.size(b) >= t
-
-    left_ok = side_ok(l1, l2)
-    right_ok = side_ok(r1, r2)
-    if not left_ok and not right_ok:
+    big = [a2 is not None and p.size(a1) >= t and p.size(a2) >= t for a1, a2 in sides]
+    if not any(big):
         starts = {q[0] for q in escapes}
         ends = {q[-1] for q in escapes}
         cut = min_vertex_cut(g, starts, ends)
@@ -433,8 +419,8 @@ def find_mesh_witness(
         )
 
     candidates = []
-    for okside, a1, a2 in ((left_ok, l1, l2), (right_ok, r1, r2)):
-        if not okside:
+    for (a1, a2), ok in zip(sides, big):
+        if not ok:
             continue
         outer = [pid for pid in sorted(reds[a2] - {a1}) if pid not in family]
         if not outer:

@@ -8,7 +8,9 @@ tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree; the
 naive quotient colours each part pair by its own crossing count, and
 the naive flow keeps capacities and flows apart, and the naive witness
-check runs that flow before the inequality; the naive replay
+check runs that flow before the inequality; the naive witness automaton
+re-validates every state it is handed and takes a split's quotient on
+trust, and the naive path layout scans the edges; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
 product; the naive DIMACS reader normalises each edge twice; the
 separator oracle enumerates vertex subsets exhaustively.
@@ -18,13 +20,24 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from twinwidth.connectivity import min_vertex_cut
+from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
 from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
 from twinwidth.io import FormatError
-from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient
-from twinwidth.sequences import SequenceError
+from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
+from twinwidth.sequences import SequenceError, Split, UncontractionSequence, partitions_at
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
-from twinwidth.witness import WitnessState, WitnessViolation, black_neighborhood_weight
+from twinwidth.witness import (
+    MAINTAINED,
+    VIOLATED_RED_DEGREE,
+    VIOLATED_STRUCTURE,
+    AuditResult,
+    InvariantReport,
+    LayoutReport,
+    WitnessState,
+    WitnessViolation,
+    black_neighborhood_weight,
+    check_witness,
+)
 
 
 # ------------------------------------------------- twin-width brute force
@@ -493,7 +506,6 @@ def oracle_treewidth(g: Graph) -> int:
 # ------------------------------------------------- quotients and flows
 
 
-
 def _naive_cross_color(g: Graph, a: frozenset[int], b: frozenset[int]) -> str | None:
     """None / "black" / "red" for the a x b crossing in g."""
     if len(a) > len(b):
@@ -763,6 +775,169 @@ def naive_check_witness(
     if s + w2 + w3 < 4 * t:
         raise WitnessViolation("inequality below 4t", f"s={s}, w2={w2}, w3={w3}, 4t={4 * t}")
     return WitnessState(len(p), x1, x2, x3, x4, t, s, w2, w3)
+
+
+# ------------------------------------------------ witness automaton oracles
+
+
+def _naive_try(g, p_next, ids, t, pt_next):
+    try:
+        return check_witness(g, p_next, *ids, t, pt=pt_next), None
+    except WitnessViolation as exc:
+        return None, exc.condition
+
+
+def naive_advance_witness(
+    g: Graph,
+    p_j: VertexPartition,
+    w: WitnessState,
+    split: Split,
+    pt: PartitionedTrigraph | None = None,
+    pt_next: PartitionedTrigraph | None = None,
+) -> InvariantReport:
+    """`witness.advance_witness` as it was before the chain and each
+    witness state were checked once: it re-validates its input, and takes
+    the split's quotient `pt_next` on trust.  Push a witness through one
+    uncontraction split.
+
+    MAINTAINED carries the successor (always re-validated).  When the
+    constructive cases cannot produce a valid successor the report is
+    VIOLATED_RED_DEGREE: under the invariant's hypotheses that only
+    happens when maintenance would force a third red edge somewhere.
+    VIOLATED_STRUCTURE means the input state itself was not a witness.
+    A given `pt` must be the quotient of p_j (ValueError otherwise).
+    """
+    if pt is None:
+        pt = quotient(g, p_j)
+    try:
+        w = check_witness(g, p_j, w.x1, w.x2, w.x3, w.x4, w.t, pt=pt)
+    except WitnessViolation as exc:
+        return InvariantReport(VIOLATED_STRUCTURE, f"input not a witness: {exc.condition}", None)
+    if split.parent not in p_j.by_id:
+        raise ValueError(f"split of part {split.parent} is inconsistent with the partition")
+    if pt_next is None:
+        pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
+    p_next = pt_next.partition
+    t = w.t
+    x = split.parent
+
+    if x not in w.parts:
+        state, why = _naive_try(g, p_next, w.parts, t, pt_next)
+        if state is None:
+            return InvariantReport(VIOLATED_RED_DEGREE, f"outside split broke the witness: {why}", None)
+        if state.s != w.s:
+            raise AssertionError("outside split changed the disjoint path count")
+        return InvariantReport(MAINTAINED, "outside", state)
+
+    if x in (w.x4, w.x3):
+        flipped = naive_advance_witness(g, p_j, w.reversed(), split, pt=pt, pt_next=pt_next)
+        succ = flipped.successor.reversed() if flipped.successor else None
+        return InvariantReport(flipped.verdict, flipped.case + " (mirrored)", succ)
+
+    children = sorted((split.id_a, split.id_b))
+    if x == w.x1:
+        # keep the side holding the path starts; weight may shift into Nb(X2)
+        union = p_j.members(w.x1) | p_j.members(w.x2) | p_j.members(w.x3) | p_j.members(w.x4)
+        _, paths = max_disjoint_paths(g, p_j.members(w.x1), p_j.members(w.x4), within=union)
+        counts = {c: sum(1 for q in paths if q[0] in p_next.members(c)) for c in children}
+        order = sorted(children, key=lambda c: (-counts[c], c))
+        last = None
+        for c in order:
+            state, why = _naive_try(g, p_next, (c, w.x2, w.x3, w.x4), t, pt_next)
+            if state is not None:
+                z = children[0] if c == children[1] else children[1]
+                if pair(z, w.x2) in pt_next.quotient.red:
+                    label = "endpoint split, remainder red to x2"
+                elif pair(z, w.x2) in pt_next.quotient.black:
+                    label = "endpoint split, remainder black to x2"
+                else:
+                    label = "endpoint split, remainder detached"
+                return InvariantReport(MAINTAINED, label, state)
+            last = why
+        return InvariantReport(VIOLATED_RED_DEGREE, f"endpoint split, no side keeps the invariant: {last}", None)
+
+    # x == w.x2: the split part sits between x1 and x3 on the red path
+    red_next = pt_next.quotient.red
+    to_x3 = [c for c in children if pair(c, w.x3) in red_next]
+    if len(to_x3) == 2:
+        return InvariantReport(VIOLATED_RED_DEGREE, "middle split, both sides red to x3", None)
+    if not to_x3:
+        return InvariantReport(VIOLATED_RED_DEGREE, "middle split, no side red to x3", None)
+    y = to_x3[0]
+    z = children[0] if y == children[1] else children[1]
+    if pair(y, w.x1) in red_next:
+        ids, label = (w.x1, y, w.x3, w.x4), "middle split, bridge through one side"
+    else:
+        ids, label = (z, y, w.x3, w.x4), "middle split, path shifts into the split part"
+    state, why = _naive_try(g, p_next, ids, t, pt_next)
+    if state is None:
+        return InvariantReport(VIOLATED_RED_DEGREE, f"{label} failed: {why}", None)
+    return InvariantReport(MAINTAINED, label, state)
+
+
+def naive_audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int) -> AuditResult:
+    """`witness.audit_sequence` as it was before each witness state was
+    checked once: `naive_advance_witness` re-validates every state it is
+    handed.  Run the invariant automaton from w0's chain position to
+    singletons.
+
+    CONTRADICTION_FOUND: maintenance died (under the hypotheses, a third
+    red edge was forced) or a witness survived to the singleton partition.
+    SEQUENCE_ESCAPED: some quotient exceeded red degree 2 on its own.
+    NO_WITNESS: w0 did not validate at its position.
+    """
+    m = w0.index
+    p = partitions_at(u, m)
+    pt = quotient(g, p)
+    try:
+        w = check_witness(g, p, w0.x1, w0.x2, w0.x3, w0.x4, t, pt=pt)
+    except WitnessViolation as exc:
+        return AuditResult("no-witness", m, exc.condition)
+    if max_red_degree(pt.quotient) > 2:
+        return AuditResult("sequence-escaped", m, "quotient red degree above 2")
+    for j in range(m, u.n):
+        split = u.splits[j - 1]
+        pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
+        if max_red_degree(pt_next.quotient) > 2:
+            return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
+        rep = naive_advance_witness(g, p, w, split, pt=pt, pt_next=pt_next)
+        if rep.verdict == VIOLATED_RED_DEGREE:
+            return AuditResult("contradiction-found", j + 1, rep.case)
+        if rep.verdict == VIOLATED_STRUCTURE:
+            raise AssertionError(f"witness invalidated mid-chain: {rep.case}")
+        w = rep.successor
+        p = pt_next.partition
+        pt = pt_next
+    return AuditResult("contradiction-found", u.n, "witness survived to the singleton partition")
+
+
+def naive_check_path_layout(g: Graph, p: VertexPartition, x1: int, x2: int, x3: int, x4: int) -> LayoutReport:
+    """`witness.check_path_layout` with the three adjacencies read by
+    scanning g's edges.  Do all inclusion-minimal X1-X4 paths run X1, X2,
+    ..., X3, X4?
+
+    Checked on the max-flow path family: first vertex in X1, second in X2,
+    penultimate in X3, last in X4.  A direct X1-X3 or X2-X4 edge is a
+    structural violation (it would overload the red path's degrees).
+    """
+    ids = (x1, x2, x3, x4)
+    if len(set(ids)) != 4:
+        raise ValueError("parts must be distinct")
+    mem = {x: p.members(x) for x in ids}
+    for a, b, name in ((x1, x3, "x1-x3"), (x2, x4, "x2-x4"), (x1, x4, "x1-x4")):
+        if any((u in mem[a] and v in mem[b]) or (u in mem[b] and v in mem[a]) for u, v in g.edges):
+            return LayoutReport(False, f"{name} edge present")
+    union = mem[x1] | mem[x2] | mem[x3] | mem[x4]
+    _, paths = max_disjoint_paths(g, mem[x1], mem[x4], within=union)
+    for q in paths:
+        if len(q) < 4:
+            return LayoutReport(False, "a path skips x2 or x3")
+        if q[1] not in mem[x2]:
+            return LayoutReport(False, "a path leaves x1 without entering x2")
+        if q[-2] not in mem[x3]:
+            return LayoutReport(False, "a path enters x4 without leaving x3")
+    return LayoutReport(True, None)
+
 
 
 # -------------------------------------------------------- separator oracle

@@ -355,6 +355,19 @@ class TestMeshJson:
         with pytest.raises(FormatError):
             mesh_from_json('{"N": 1, "rows": []}')
 
+    def test_reads_at_scale(self):
+        """A 70 x 70 mesh of the side-142 wall, with vertex ids up to about
+        20,000 and 29,540 path entries, read back in well under a second.
+        This pins behaviour that already holds (about 10 ms)."""
+        g, wl = gen_wall(142)
+        me = wall_to_mesh(g, wl, 70)
+        text = mesh_to_json(me)
+        assert max(map(max, me.rows)) > 19_000
+        start = time.perf_counter()
+        back = mesh_from_json(text)
+        assert time.perf_counter() - start < 0.5
+        assert back == me
+
     @pytest.mark.parametrize(
         "text",
         ['{"N": 1, "rows": 5, "cols": []}', '{"N": 1, "rows": [[1, "a"]], "cols": []}', '{"N": 1.5, "rows": [], "cols": []}', "[1]", "7"],

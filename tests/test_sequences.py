@@ -19,6 +19,8 @@ from twinwidth.graphs import (
 from twinwidth.sequences import (
     ReplayState,
     SequenceError,
+    Split,
+    UncontractionSequence,
     apply_prefix,
     invert,
     partitions_at,
@@ -270,6 +272,61 @@ class TestInvert:
     def test_chain_builder_rejects_bad_chain(self):
         with pytest.raises(SequenceError):
             uncontraction_from_chain(3, [[frozenset({0, 1, 2})], [frozenset({0, 1, 2})], [frozenset({0}), frozenset({1}), frozenset({2})]])
+
+
+class TestChainCheckedWhenBuilt:
+    """An uncontraction sequence is checked when it is built: a split that
+    breaks the split rule raises at construction, naming its index, and is
+    never left for `partitions_at` to find."""
+
+    def test_overlapping_halves_from_a_chain(self):
+        chain = [[{0, 1, 2}], [{0, 1}, {1, 2}], [{0}, {1}, {1, 2}]]
+        with pytest.raises(SequenceError, match="^split 0: children must split"):
+            uncontraction_from_chain(3, chain)
+
+    @pytest.mark.parametrize(
+        "splits, message",
+        [
+            ((Split(9, 0, frozenset({0}), 1, frozenset({1, 2})), Split(1, 1, frozenset({1}), 2, frozenset({2}))),
+             "split 0: unknown part id 9"),
+            ((Split(0, 0, frozenset({0, 1}), 1, frozenset({1, 2})), Split(0, 0, frozenset({0}), 1, frozenset({1}))),
+             "split 0: children must split the parent part into two nonempty sets"),
+            ((Split(0, 0, frozenset({0}), 1, frozenset({1, 2})), Split(1, 0, frozenset({1}), 2, frozenset({2}))),
+             "split 1: child id 0 collides with an existing part"),
+            ((Split(0, 0, frozenset({0}), 1, frozenset({1, 2})), Split(1, 2, frozenset({1}), 2, frozenset({2}))),
+             "split 1: child id 2 collides with an existing part"),
+            ((Split(0, 0, frozenset(), 1, frozenset({0, 1, 2})), Split(1, 1, frozenset({1}), 2, frozenset({2}))),
+             "split 0: children must split the parent part into two nonempty sets"),
+        ],
+    )
+    def test_hand_built_chains(self, splits, message):
+        with pytest.raises(SequenceError) as exc:
+            UncontractionSequence(3, 0, splits)
+        assert str(exc.value) == message
+
+    def test_wrong_split_count(self):
+        with pytest.raises(SequenceError, match="expected 2 splits, got 1"):
+            UncontractionSequence(3, 0, (Split(0, 0, frozenset({0}), 1, frozenset({1, 2})),))
+        with pytest.raises(SequenceError, match="expected 2 splits, got 0"):
+            uncontraction_from_chain(3, [[{0, 1, 2}]])
+
+    def test_a_valid_chain_reuses_the_parent_id(self):
+        u = UncontractionSequence(3, 0, (Split(0, 0, frozenset({0, 1}), 2, frozenset({2})),
+                                         Split(0, 0, frozenset({0}), 1, frozenset({1}))))
+        assert partitions_at(u, 2).by_id == {0: frozenset({0, 1}), 2: frozenset({2})}
+        assert partitions_at(u, 3).by_id == {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})}
+
+    def test_every_prefix_of_a_long_chain(self):
+        """A 1,000-vertex path certificate whose products swallow one vertex
+        each: every `partitions_at(u, i)` replays its prefix without checking
+        it again (9.6 s when each call re-checked every earlier split)."""
+        n = 1000
+        s = sequence_from_pairs(n, [(0, 1)] + [(n + j, j + 2) for j in range(n - 2)])
+        start = time.perf_counter()
+        u = invert(path_graph(n), s)
+        sizes = [len(partitions_at(u, i)) for i in range(1, n + 1)]
+        assert time.perf_counter() - start < 2.0
+        assert sizes == list(range(1, n + 1))
 
 
 class TestRelabeling:

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import random
 
 import pytest
 
-from corpus import random_graph, random_partition, red_paths
-from oracles import naive_check_witness
+from corpus import random_graph, random_ktt_free, random_partition, red_paths
+from oracles import naive_advance_witness, naive_audit_sequence, naive_check_path_layout, naive_check_witness
 from plants import planted_cases, starved_cases
 from twinwidth import witness
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges
@@ -18,6 +19,8 @@ from twinwidth.sequences import (
     uncontraction_from_chain,
     verify_width,
 )
+from twinwidth.solver import greedy_sequence, twinwidth_exact
+from twinwidth.structure import gen_tww3_family, tww3_family_sequence
 from twinwidth.witness import (
     MAINTAINED,
     VIOLATED_RED_DEGREE,
@@ -324,6 +327,160 @@ class TestAdvanceWitness:
                 assert s1 >= min(s0, 4 * w2.t)
 
 
+def _valid_states(g, p, pt):
+    for ids in red_paths(pt.quotient.red_adj):
+        for t in (1, 2):
+            try:
+                yield check_witness(g, p, *ids, t, pt=pt)
+            except WitnessViolation:
+                pass
+
+
+def _split_battery():
+    """(g, p, w, split) cases: the four-blob splits of TestAdvanceWitness
+    and of criterion 6's conservation battery, then every valid t = 1, 2
+    state of seeded random partitions with two splits of each of its parts
+    and of one part outside it."""
+    g, x1, x2, x3, x4 = four_blobs(x1_extra=[tuple(range(8, 16))])
+    p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+    for ids in ((min(x1), min(x2), min(x3), min(x4)), (min(x4), min(x3), min(x2), min(x1))):
+        w = check_witness(g, p, *ids, 2)
+        for v in sorted(x1)[1:]:
+            yield g, p, w, Split(min(x1), min(x1 - {v}), x1 - {v}, v, frozenset({v}))
+        for x in (x2, x3, x4):
+            half = frozenset(sorted(x)[:4])
+            yield g, p, w, Split(min(x), min(half), half, min(x - half), x - half)
+    g, x1, x2, x3, x4 = four_blobs(x1_extra=[(0,), (0,)])
+    extras = frozenset(range(g.n - 2, g.n))
+    p = partition_from_blocks(g.n, [x1 - extras, x2 | extras, x3, x4])
+    w = check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 2)
+    yield g, p, w, Split(min(x2), min(x2), x2, min(extras), extras)
+    g, x1, x2, x3, x4 = four_blobs(x2_layers=2)
+    p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+    w = check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 2)
+    z_layer, y_layer = frozenset(range(8, 16)), frozenset(range(16, 24))
+    yield g, p, w, Split(min(x2), min(z_layer), z_layer, min(y_layer), y_layer)
+    rng = random.Random(3031)
+    for i in range(120):
+        n = rng.randint(8, 16)
+        g = random_graph(rng, n, (i % 4 + 1) / 10)
+        p = partition_from_blocks(n, random_partition(rng, n))
+        pt = quotient(g, p)
+        for w in _valid_states(g, p, pt):
+            outside = [pid for pid in p.ids() if pid not in w.parts]
+            for x in (*w.parts, *outside[:1]):
+                members = sorted(p.members(x))
+                if len(members) < 2:
+                    continue
+                for cut in (1, len(members) // 2):
+                    a, b = frozenset(members[:cut]), frozenset(members[cut:])
+                    yield g, p, w, Split(x, min(a), a, n + max(b), b)
+
+
+class TestAutomatonAgainstNaive:
+    """Each witness state is validated once, where it is made, and the
+    automaton reports exactly what the copy that re-validated every state
+    (`oracles.naive_advance_witness`, `oracles.naive_audit_sequence`) did."""
+
+    def test_split_battery(self):
+        kinds = collections.Counter()
+        for g, p, w, split in _split_battery():
+            rep = advance_witness(g, p, w, split)
+            assert rep == naive_advance_witness(g, p, w, split), (w, split)
+            if rep.successor is not None:
+                assert rep.successor.index == len(p) + 1
+            kinds[rep.verdict] += 1
+        assert kinds[MAINTAINED] >= 50 and kinds[VIOLATED_RED_DEGREE] >= 50, kinds
+
+    def test_the_successor_is_built_on_the_split_partition(self):
+        # advance_witness builds the split's quotient itself and takes none
+        # from the caller, so the successor sits on the split partition
+        g, x1, x2, x3, x4 = four_blobs()
+        extra = frozenset({g.n, g.n + 1})
+        g2 = graph_from_edges(g.n + 2, g.edges)
+        p = partition_from_blocks(g2.n, [x1, x2, x3, x4, extra])
+        w = check_witness(g2, p, min(x1), min(x2), min(x3), min(x4), 2)
+        split = Split(min(extra), g.n, frozenset({g.n}), g.n + 1, frozenset({g.n + 1}))
+        with pytest.raises(TypeError):
+            advance_witness(g2, p, w, split, pt_next=quotient(g2, p))
+        assert advance_witness(g2, p, w, split).successor.index == 6
+
+    def test_unknown_split_parent_is_named(self):
+        g, x1, x2, x3, x4 = four_blobs()
+        p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+        w = check_witness(g, p, min(x1), min(x2), min(x3), min(x4), 2)
+        with pytest.raises(ValueError, match="unknown part id 99"):
+            advance_witness(g, p, w, Split(99, 99, frozenset({0}), 100, frozenset({1})))
+
+    @pytest.mark.parametrize("family", ["tww3", "k22-free", "width-2"])
+    def test_audits_from_every_valid_state(self, family):
+        chains = []
+        if family == "tww3":
+            for n in range(3, 7):
+                g, _ = gen_tww3_family(n)
+                chains.append((g, tww3_family_sequence(n)))
+        rng = random.Random(4242)
+        for _ in range(0 if family == "tww3" else 30):
+            if family == "k22-free":
+                g = random_ktt_free(rng, rng.randint(10, 16), p=0.3)
+                chains.append((g, greedy_sequence(g)[0]))
+            else:
+                g = random_graph(rng, rng.randint(8, 11), 0.3)
+                r = twinwidth_exact(g, 2, 2000)
+                if r.sequence is not None:
+                    chains.append((g, r.sequence))
+        outcomes = collections.Counter()
+        for g, seq in chains:
+            u = invert(g, seq)
+            for i in range(1, g.n + 1):
+                p = partitions_at(u, i)
+                for w in _valid_states(g, p, quotient(g, p)):
+                    r = audit_sequence(g, u, w, w.t)
+                    assert r == naive_audit_sequence(g, u, w, w.t), (w, r)
+                    outcomes[r.verdict, r.step > w.index] += 1
+        assert sum(outcomes.values()) >= 20, outcomes
+        if family != "tww3":
+            assert outcomes["contradiction-found", True] >= 10, outcomes
+
+    def test_each_state_is_validated_once(self, monkeypatch):
+        checked = collections.Counter()
+        check = witness.check_witness
+
+        def counting(g, p, *ids_and_t, pt=None):
+            checked[p, ids_and_t] += 1
+            return check(g, p, *ids_and_t, pt=pt)
+
+        monkeypatch.setattr(witness, "check_witness", counting)
+        rng = random.Random(4242)
+        audits = 0
+        while audits < 40:
+            g = random_graph(rng, rng.randint(8, 11), 0.3)
+            r = twinwidth_exact(g, 2, 2000)
+            if r.sequence is None:
+                continue
+            u = invert(g, r.sequence)
+            for i in range(1, g.n + 1):
+                p = partitions_at(u, i)
+                for ids in red_paths(quotient(g, p).quotient.red_adj):
+                    try:
+                        w = check(g, p, *ids, 1)
+                    except WitnessViolation:
+                        continue
+                    checked.clear()
+                    audit_sequence(g, u, w, 1)
+                    audits += 1
+                    assert checked and max(checked.values()) == 1, checked.most_common(1)
+        g, x1, x2, x3, x4 = four_blobs(x1_extra=[tuple(range(8, 16))])
+        p = partition_from_blocks(g.n, [x1, x2, x3, x4])
+        w = check(g, p, min(x4), min(x3), min(x2), min(x1), 2)
+        checked.clear()
+        b = max(x1)
+        rep = advance_witness(g, p, w, Split(min(x1), min(x1), x1 - {b}, b, frozenset({b})))
+        assert rep.case.endswith("(mirrored)")
+        # the input once, and the mirrored successor once
+        assert sorted(checked.values()) == [1, 1]
+
+
 class TestAudit:
     def test_c4_has_no_witness(self):
         g = cycle_graph(4)
@@ -401,6 +558,22 @@ class TestPathLayout:
         p = partition_from_blocks(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}])
         assert check_path_layout(g, p, 0, 2, 4, 6).ok
 
+    def test_matches_the_edge_scan(self):
+        # the adjacencies read from the quotient give the same report, in
+        # the same order of checks, as scanning g's edges three times
+        rng = random.Random(919)
+        reasons = collections.Counter()
+        for i in range(200):
+            n = rng.randint(6, 16)
+            g = random_graph(rng, n, (i % 5 + 1) / 12)
+            p = partition_from_blocks(n, random_partition(rng, n))
+            paths = red_paths(quotient(g, p).quotient.red_adj)
+            for four in rng.sample(paths, min(len(paths), 5)):
+                r = check_path_layout(g, p, *four)
+                assert r == naive_check_path_layout(g, p, *four), (i, four)
+                reasons[r.reason] += 1
+        assert {None, "x1-x3 edge present", "x2-x4 edge present", "x1-x4 edge present"} <= set(reasons), reasons
+
 
 class TestMeshWitnessSearch:
     def test_a_planted_state_is_recovered(self):
@@ -414,10 +587,12 @@ class TestMeshWitnessSearch:
         assert find_mesh_witness(pl.g, pl.useq, pl.mesh, pl.k, pl.t) == pl.expected
 
     def test_split_of_unknown_part_is_rejected(self):
+        # the chain is checked when it is built, so the bad chain never
+        # reaches the search
         pl = planted_cases()[0]
         bad = dataclasses.replace(pl.useq.splits[0], parent=-1)
-        useq = dataclasses.replace(pl.useq, splits=(bad,) + pl.useq.splits[1:])
         with pytest.raises(SequenceError):
+            useq = dataclasses.replace(pl.useq, splits=(bad,) + pl.useq.splits[1:])
             find_mesh_witness(pl.g, useq, pl.mesh, pl.k, pl.t)
 
     def test_starved_controls_miss_with_named_stages(self):
