@@ -6,9 +6,13 @@ degeneracy-style lower bound, a stuck-vertex count, and a greedy min-fill
 upper bound.  Each state carries the fill rows of its elimination graph:
 for every live vertex, the live vertices it reaches through eliminated
 ones.  Eliminating v rewrites only the rows of v's fill neighbours, so a
-state costs O(n + k) word operations.  Every decomposition it emits is
-rebuilt from the ordering and re-checked by the literal three-condition
-verifier.
+state costs O(n + k) word operations.  When the first candidate is almost
+simplicial (its fill neighbours less one vertex form a clique), it is the
+state's only branch, the rule of Bodlaender, Koster and van den Eijkhof
+(Comput. Intell. 2005): eliminating it leaves a minor of the state's
+graph, so the state has a width-k order iff that child has.  Every
+decomposition it emits is rebuilt from the ordering and re-checked by the
+literal three-condition verifier.
 """
 
 import heapq
@@ -216,6 +220,35 @@ def minor_min_width(g: Graph) -> int:
     return lb
 
 
+def _almost_simplicial(fill: list[int], v: int) -> bool:
+    """Whether some vertex c meets every non-edge among v's fill neighbours,
+    so that the neighbours other than c form a clique.
+
+    Eliminating such a v of fill degree <= k first is safe: the graph left
+    is the minor that contracts v into c, and v's bag holds at most k + 1
+    vertices.  Every vertex of fill degree <= 2 qualifies.
+    """
+    row = fill[v]
+
+    def clique(rest: int) -> bool:
+        m = rest
+        while m:
+            b = m & -m
+            m ^= b
+            if rest & ~b & ~fill[b.bit_length() - 1]:
+                return False
+        return True
+
+    m = row
+    while m:
+        w = m & -m
+        m ^= w
+        miss = row & ~w & ~fill[w.bit_length() - 1]
+        if miss:  # c lies on the first non-edge {w, x}
+            return clique(row & ~w) or clique(row & ~(miss & -miss))
+    return True
+
+
 def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """`treewidth_order` and the number of subset states it expanded."""
     n = g.n
@@ -250,8 +283,8 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
             return False
         # an eliminated vertex's degree is n > k, so it is never a candidate
         cands = sorted([(d, v) for v, d in enumerate(deg) if d <= k])
-        # a fill-degree <= 1 vertex is simplicial; eliminating it first is safe
-        if cands and cands[0][0] <= 1:
+        # an almost simplicial first candidate is safe to eliminate first
+        if cands and _almost_simplicial(fill, cands[0][1]):
             cands = cands[:1]
         for _, v in cands:
             vbit = 1 << v
@@ -302,8 +335,12 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
     w's neighbours in the elimination graph, and w's fill degree is the
     row's size.  More than k + 1 live vertices of fill degree above k end
     the branch; otherwise the candidates of fill degree <= k are tried in
-    (fill degree, id) order, a simplicial one alone.  Eliminating v
-    changes only the rows of v's fill neighbours.  Once k + 1 vertices
+    (fill degree, id) order.  If the first one is almost simplicial, it is
+    tried alone: eliminating it costs a bag of at most k + 1 vertices and
+    leaves the minor that contracts it into the neighbour outside the
+    clique, so its child succeeds iff the state can.  The orders returned
+    are those of the search that branches on every candidate.  Eliminating
+    v changes only the rows of v's fill neighbours.  Once k + 1 vertices
     remain, any order finishes.
 
     May raise BudgetExceeded after `budget` expanded states.

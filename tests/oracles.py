@@ -5,7 +5,8 @@ twin-width brute force enumerates raw (u,v)-choice trees with no
 memoization; the greedy and twin-merge oracles rebuild an immutable
 trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
-subset DFS walks the eliminated set afresh for every fill degree; the
+subset DFS walks the eliminated set afresh for every fill degree and
+every fill row its almost-simplicial test reads; the
 naive quotient colours each part pair by its own crossing count, and
 the naive flow keeps capacities and flows apart, and the naive witness
 check runs that flow before the inequality; the naive witness automaton
@@ -367,8 +368,8 @@ def naive_verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport
     return TDReport(True, td.width, None)
 
 
-def _naive_fill_degree(adj: list[int], eliminated: int, v: int) -> int:
-    """Neighbours of v outside `eliminated`, reachable through it."""
+def _naive_fill_row(adj: list[int], eliminated: int, v: int) -> int:
+    """Neighbours of v outside `eliminated`, reachable through it, as a bitmask."""
     vbit = 1 << v
     seen = vbit
     grow = adj[v]
@@ -382,14 +383,101 @@ def _naive_fill_degree(adj: list[int], eliminated: int, v: int) -> int:
             b = m & -m
             grow |= adj[b.bit_length() - 1]
             m ^= b
-    return (grow & ~eliminated & ~vbit).bit_count()
+    return grow & ~eliminated & ~vbit
+
+
+def _naive_fill_degree(adj: list[int], eliminated: int, v: int) -> int:
+    return _naive_fill_row(adj, eliminated, v).bit_count()
+
+
+def naive_almost_simplicial(adj: list[int], eliminated: int, v: int) -> bool:
+    """Some vertex lies in every missing pair among v's fill neighbours:
+    each neighbour's row is a fresh walk, the missing pairs are listed,
+    and every neighbour is tried as the common vertex."""
+    row = _naive_fill_row(adj, eliminated, v)
+    around = [u for u in range(len(adj)) if row >> u & 1]
+    rows = {u: _naive_fill_row(adj, eliminated, u) for u in around}
+    missing = [(a, b) for a, b in combinations(around, 2) if not rows[a] >> b & 1]
+    return not missing or any(all(c in ab for ab in missing) for c in around)
 
 
 def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """The subset DFS of `treewidth._search`, with every live vertex's
-    fill degree found by a fresh walk through the eliminated set in every
-    state.  Same states, same order, same budget cut-offs; returns the
-    order and the number of states expanded."""
+    fill degree, and the first candidate's almost-simpliciality, found by
+    fresh walks through the eliminated set in every state.  Same states,
+    same order, same budget cut-offs; returns the order and the number of
+    states expanded."""
+    n = g.n
+    if n == 0:
+        return [], 0
+    if k >= n - 1:
+        return list(range(n)), 0
+    order, width = naive_min_fill_order(g)
+    if width <= k:
+        return order, 0
+    if naive_minor_min_width(g) > k:
+        return None, 0
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    visited: set[int] = set()
+    expanded = 0
+    suffix: list[int] = []
+
+    def dfs(elim: int, prefix: list[int]) -> bool:
+        nonlocal expanded
+        remaining = n - elim.bit_count()
+        if remaining <= k + 1:
+            suffix.extend(prefix)
+            m = full & ~elim
+            while m:
+                b = m & -m
+                suffix.append(b.bit_length() - 1)
+                m ^= b
+            return True
+        expanded += 1
+        if budget is not None and expanded > budget:
+            raise BudgetExceeded(f"tree-width search exceeded {budget} states")
+        cands = []
+        stuck = 0
+        m = full & ~elim
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            fd = _naive_fill_degree(adj, elim, v)
+            if fd <= k:
+                cands.append((fd, v))
+            else:
+                stuck += 1
+            m ^= b
+        if stuck > k + 1:
+            return False
+        cands.sort()
+        # an almost simplicial first candidate is safe to eliminate first
+        if cands and naive_almost_simplicial(adj, elim, cands[0][1]):
+            cands = cands[:1]
+        for fd, v in cands:
+            child = elim | (1 << v)
+            if child in visited:
+                continue
+            visited.add(child)
+            prefix.append(v)
+            if dfs(child, prefix):
+                return True
+            prefix.pop()
+        return False
+
+    if dfs(0, []):
+        return suffix, expanded
+    return None, expanded
+
+
+def naive_search_degree_one(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """`naive_search` as it was when only a fill-degree <= 1 (simplicial)
+    first candidate was branched on alone.  Kept verbatim: `_search` must
+    return its orders and decisions, in no more states."""
     n = g.n
     if n == 0:
         return [], 0

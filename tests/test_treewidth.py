@@ -1,14 +1,19 @@
 import random
 import re
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from corpus import random_graph, random_tree
 from oracles import (
+    _naive_eliminate,
+    naive_almost_simplicial,
     naive_min_fill_order,
     naive_minor_min_width,
     naive_search,
+    naive_search_degree_one,
     naive_treewidth_order,
     naive_verify_tree_decomposition,
     oracle_treewidth,
@@ -25,6 +30,7 @@ from twinwidth.treewidth import (
     treewidth_order,
     verify_tree_decomposition,
 )
+from twinwidth.treewidth import _almost_simplicial
 from twinwidth.treewidth import _search as search_with_states
 
 
@@ -178,6 +184,38 @@ class TestHelpers:
             g = random_graph(rng, rng.randint(2, 9))
             assert minor_min_width(g) <= treewidth_exact(g).width
 
+    def test_almost_simplicial_matches_definition(self):
+        """On elimination states of small random graphs, the bitmask test
+        and the oracle's walk agree with the definition: some neighbour c
+        (or none) leaves the other fill neighbours a clique."""
+        rng = random.Random(3131)
+        kinds = Counter()
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(4, 12), rng.choice((0.3, 0.5, 0.7)))
+            adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+            nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+            eliminated = 0
+            for v in rng.sample(range(g.n), rng.randrange(g.n)):
+                _naive_eliminate(nbrs, v)
+                eliminated |= 1 << v
+            fill = [sum(1 << u for u in nbrs.get(v, ())) for v in range(g.n)]
+            for v, around in nbrs.items():
+                missing = [(a, b) for a, b in combinations(sorted(around), 2) if b not in nbrs[a]]
+                through = [c for c in around if all(c in ab for ab in missing)]
+                expected = not missing or bool(through)
+                assert _almost_simplicial(fill, v) == expected, (sorted(g.edges), eliminated, v)
+                assert naive_almost_simplicial(adj, eliminated, v) == expected, (sorted(g.edges), eliminated, v)
+                if len(around) >= 3:
+                    if not missing:
+                        kinds["simplicial"] += 1
+                    elif len(missing) == 1:
+                        kinds["one missing pair"] += 1
+                    elif through:  # the first missing pair's first or second vertex meets them all
+                        kinds["through " + ("first" if through[0] == missing[0][0] else "second")] += 1
+                    else:
+                        kinds["neither"] += 1
+        assert len(kinds) == 5, kinds
+
     def test_isolated_vertices(self):
         g = graph_from_edges(4, [(0, 1)])
         r = treewidth_exact(g)
@@ -246,6 +284,38 @@ def _outcome(search, g, k: int, budget: int | None):
         return "budget"
 
 
+def _small_cases() -> list:
+    cases = [(graph_from_edges(n, []), k) for n in (0, 1, 5) for k in range(3)]
+    rng = random.Random(9090)  # criterion 9's graphs
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 8))
+        cases += [(g, k) for k in range(g.n)]
+    rng = random.Random(15)
+    for i in range(200):  # n <= 15, every density from nearly empty to nearly complete
+        g = random_graph(rng, rng.randint(2, 15), (i % 10 + 0.5) / 10)
+        cases += [(g, k) for k in range(7)]
+    return cases
+
+
+def _sparse_cases() -> list:
+    rng = random.Random(2318)
+    cases = []
+    for i in range(24):  # the benchmark's gate: k = minor_min_width and k + 1
+        g = _sparse(rng, 18 + i % 6)
+        k = minor_min_width(g)
+        cases += [(g, k), (g, k + 1)]
+    # a graph that needs the search, with its vertices spread among five isolated ones
+    while True:
+        place = rng.sample(range(25), 20)
+        g = graph_from_edges(25, [(place[u], place[v]) for u, v in _sparse(rng, 20).edges])
+        if min_fill_order(g)[1] > minor_min_width(g):
+            return cases + [(g, minor_min_width(g))]
+
+
+def _grid_cases() -> list:
+    return [(grid_graph(side), k) for side in (3, 4, 5) for k in (side - 1, side)]
+
+
 def _same_search(g, k: int) -> int:
     """The subset search gives the naive DFS's order and state count, and
     its outcome at each budget; returns that count.  Both searches are
@@ -273,37 +343,31 @@ class TestAgainstNaive:
             assert minor_min_width(g) == naive_minor_min_width(g), sorted(g.edges)
 
     def test_treewidth_order_small(self):
-        cases = [(graph_from_edges(n, []), k) for n in (0, 1, 5) for k in range(3)]
-        rng = random.Random(9090)  # criterion 9's graphs
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(1, 8))
-            cases += [(g, k) for k in range(g.n)]
-        rng = random.Random(15)
-        for i in range(200):  # n <= 15, every density from nearly empty to nearly complete
-            g = random_graph(rng, rng.randint(2, 15), (i % 10 + 0.5) / 10)
-            cases += [(g, k) for k in range(7)]
-        assert sum(_same_search(g, k) for g, k in cases) > 1000
+        assert sum(_same_search(g, k) for g, k in _small_cases()) > 200
 
     def test_treewidth_order_sparse(self):
-        rng = random.Random(2318)
-        cases = []
-        for i in range(24):  # the benchmark's gate: k = minor_min_width and k + 1
-            g = _sparse(rng, 18 + i % 6)
-            k = minor_min_width(g)
-            cases += [(g, k), (g, k + 1)]
-        assert sum(_same_search(g, k) for g, k in cases) > 50_000
-        # a graph that needs the search, with its vertices spread among five isolated ones
-        while True:
-            place = rng.sample(range(25), 20)
-            g = graph_from_edges(25, [(place[u], place[v]) for u, v in _sparse(rng, 20).edges])
-            if min_fill_order(g)[1] > minor_min_width(g):
-                break
-        assert _same_search(g, minor_min_width(g)) > 0
+        states = [_same_search(g, k) for g, k in _sparse_cases()]
+        assert sum(states) > 10_000
+        assert states[-1] > 0  # the graph among isolated vertices
 
     @pytest.mark.parametrize("side", [3, 4, 5])
     def test_treewidth_order_grids(self, side):
         for k in (side - 1, side):
             _same_search(grid_graph(side), k)
+
+    @pytest.mark.parametrize("corpus, floor", [("small", 1000), ("sparse", 50_000), ("grids", 500_000)])
+    def test_treewidth_order_matches_degree_one_rule(self, corpus, floor):
+        """Branching on an almost simplicial first candidate alone keeps the
+        orders and decisions of the search that did so only at fill degree
+        <= 1, in no more states; that search still walks `floor` states."""
+        cases = {"small": _small_cases, "sparse": _sparse_cases, "grids": _grid_cases}[corpus]()
+        walked = 0
+        for g, k in cases:
+            order, states = search_with_states(g, k, None)
+            old_order, old_states = naive_search_degree_one(g, k, None)
+            assert order == old_order and states <= old_states, (k, sorted(g.edges))
+            walked += old_states
+        assert walked > floor
 
     def test_verifier_verdicts_and_messages(self):
         rng = random.Random(4242)
@@ -325,6 +389,16 @@ class TestAgainstNaive:
 class TestScale:
     """Thousands of vertices: each elimination, contraction and check
     costs what it changes, not a rescan of the whole graph."""
+
+    def test_grid5_search_cut_by_almost_simplicial_vertices(self):
+        # branching on every candidate after a failed almost simplicial one:
+        # 533,496 states, about 3.3 s on a 2-core x86-64 VM
+        start = time.perf_counter()
+        assert treewidth_decide(grid_graph(5), 4) is False
+        assert search_with_states(grid_graph(5), 4, None) == (None, 22)
+        r = treewidth_exact(grid_graph(5))
+        assert r.width == 5 and r.expanded == 22
+        assert time.perf_counter() - start < 0.5
 
     def test_grid6_search_state_cost(self):
         # every fill degree was a fresh walk through the eliminated set: about 9 s on a 2-core x86-64 VM
