@@ -391,8 +391,8 @@ class TestScale:
     costs what it changes, not a rescan of the whole graph."""
 
     def test_grid5_search_cut_by_almost_simplicial_vertices(self):
-        # branching on every candidate after a failed almost simplicial one:
-        # 533,496 states, about 3.3 s on a 2-core x86-64 VM
+        # with the first candidate tried alone only at fill degree <= 1:
+        # 533,496 states per search, about 5 s for these two on a 2-core x86-64 VM
         start = time.perf_counter()
         assert treewidth_decide(grid_graph(5), 4) is False
         assert search_with_states(grid_graph(5), 4, None) == (None, 22)
