@@ -63,6 +63,15 @@ class Graph:
         return len(self.edges)
 
 
+def adjacency_rows(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask over vertex ids."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
 def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, frozenset(pair(u, v) for u, v in edges))
 

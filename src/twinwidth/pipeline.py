@@ -62,23 +62,16 @@ def decomposition_sequence(g: Graph, td: TreeDecomposition) -> ContractionSequen
         nbrs[a].append(b)
         nbrs[b].append(a)
     root = min(ids)
-    order: list[int] = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for y in sorted(nbrs[node]):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    parent = {root: None}
+    # one breadth-first walk; a subtree's weight does not depend on the walk
+    parent: dict[int, int | None] = {root: None}
     children: dict[int, list[int]] = {i: [] for i in ids}
+    order = [root]
     for node in order:
         for y in nbrs[node]:
             if y not in parent:
                 parent[y] = node
                 children[node].append(y)
+                order.append(y)
     weight: dict[int, int] = {}
     for node in reversed(order):
         weight[node] = 1 + sum(weight[c] for c in children[node])

@@ -26,7 +26,7 @@ certificate and shares no code with this module.
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_rows
 from .sequences import ContractionSequence, sequence_from_pairs, verify_width
 
 DEFAULT_BUDGET = 10**7
@@ -47,16 +47,11 @@ class ExactResult:
     expanded: int
 
 
-def _adjacency_rows(g: Graph) -> list[int]:
-    """Each vertex's neighbourhood as a bitmask over vertex ids: the
-    quotient rows of the singleton partition of a nonempty graph."""
+def _singleton_rows(g: Graph) -> list[int]:
+    """The quotient rows of the singleton partition of a nonempty graph."""
     if g.n == 0:
         raise ValueError("twin-width is defined for nonempty graphs")
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return adjacency_rows(g)
 
 
 def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
@@ -141,7 +136,7 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     n = g.n
-    adj = _adjacency_rows(g)
+    adj = _singleton_rows(g)
     visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
     expanded = 0
     out_of_budget = False
@@ -208,7 +203,7 @@ def twinwidth_zero(g: Graph) -> ContractionSequence | None:
     merges only twins, so it verifies at width 0.
     """
     n = g.n
-    exts, adjs, reds = list(range(n)), _adjacency_rows(g), [0] * n
+    exts, adjs, reds = list(range(n)), _singleton_rows(g), [0] * n
     steps: list[tuple[int, int]] = []
     while len(exts) > 1:
         # with no red edge, parts i, j are twins iff their rows agree outside {i, j};
@@ -237,7 +232,7 @@ def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     replay-verified width.
     """
     n = g.n
-    exts, adjs, reds = list(range(n)), _adjacency_rows(g), [0] * n
+    exts, adjs, reds = list(range(n)), _singleton_rows(g), [0] * n
     steps: list[tuple[int, int]] = []
     width = 0
     while len(exts) > 1:

@@ -10,16 +10,18 @@ state costs O(n + k) word operations.  When the first candidate is almost
 simplicial (its fill neighbours less one vertex form a clique), it is the
 state's only branch, the rule of Bodlaender, Koster and van den Eijkhof
 (Comput. Intell. 2005): eliminating it leaves a minor of the state's
-graph, so the state has a width-k order iff that child has.  Every
-decomposition it emits is rebuilt from the ordering and re-checked by the
-literal three-condition verifier.
+graph, so the state has a width-k order iff that child has.
+`treewidth_exact` decides k upward from the contraction bound, so every
+NO raises the lower bound it reports; its one decomposition is rebuilt
+from the winning ordering and re-checked by the literal three-condition
+verifier.
 """
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, pair
+from .graphs import Graph, adjacency_rows, pair
 
 DEFAULT_BUDGET = 10**6  # subset states; the CLIs' default, the library's is unbounded
 
@@ -105,25 +107,6 @@ def verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport:
 
 
 # ------------------------------------------------------- elimination core
-
-
-def _adj_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _eliminate(nbrs: dict[int, set[int]], v: int) -> None:
-    around = nbrs.pop(v)
-    for u in around:
-        nbrs[u].discard(v)
-    for u in around:
-        for w in around:
-            if u < w:
-                nbrs[u].add(w)
-                nbrs[w].add(u)
 
 
 def min_fill_order(g: Graph) -> tuple[list[int], int]:
@@ -314,7 +297,7 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
             prefix.pop()
         return False
 
-    fill = _adj_masks(g)
+    fill = adjacency_rows(g)
     deg = [row.bit_count() for row in fill]
     if dfs(0, fill, deg, sum(d > k for d in deg), []):
         return suffix, expanded
@@ -352,8 +335,6 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
 def treewidth_decide(g: Graph, k: int, budget: int | None = None) -> bool:
     """Exact decision: tree-width <= k?  May raise BudgetExceeded."""
     _check_budget(budget)
-    if k < 0:
-        return g.n == 0
     return treewidth_order(g, k, budget) is not None
 
 
@@ -364,14 +345,15 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     if g.n == 0:
         return TreeDecomposition(((0, frozenset()),), ())
     pos = {v: i for i, v in enumerate(order)}
-    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    nbrs = [set(row) for row in g.adj]
     bags: list[tuple[int, frozenset[int]]] = []
     edges: list[tuple[int, int]] = []
     for i, v in enumerate(order):
-        bag = frozenset(nbrs[v] | {v})
-        bags.append((i, bag))
-        _eliminate(nbrs, v)
-        rest = bag - {v}
+        rest = nbrs[v]
+        bags.append((i, frozenset(rest | {v})))
+        for u in rest:  # v's fill neighbours become a clique, without v
+            nbrs[u] |= rest
+            nbrs[u] -= {u, v}
         if rest:
             edges.append(pair(i, min(pos[u] for u in rest)))
         elif i + 1 < g.n:
@@ -386,37 +368,38 @@ class TreewidthResult:
     decomposition: TreeDecomposition | None
     lb: int
     ub: int
-    expanded: int  # subset states over all decision steps; an exhausted one counts its budget
+    expanded: int  # subset states over the decisions k = lb, lb + 1, ...; an exhausted one counts its budget
 
 
 def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
     """Exact tree-width with a verified decomposition.
 
-    Bounds shrink from a min-fill upper bound toward a contraction lower
-    bound; each decision step is the memoized subset search, with its own
-    budget.  On budget exhaustion the best bounds so far are reported as
-    UNKNOWN.
+    Climbs from the contraction lower bound: each k = lb, lb + 1, ...
+    below the min-fill upper bound is decided by the memoized subset
+    search, with its own budget.  Every NO raises lb to k + 1; the first
+    YES is the width, and min-fill's order is taken if none comes.  One
+    decomposition is built, from the winning order, and verified.  On
+    budget exhaustion the result is UNKNOWN with bounds lb..ub: every
+    k below lb is refuted, by the contraction bound or by a search, and
+    ub is min-fill's width.
     """
     _check_budget(budget)
     if g.n == 0:
         return TreewidthResult("exact", -1, TreeDecomposition(((0, frozenset()),), ()), -1, -1, 0)
     order, ub = min_fill_order(g)
-    best_order = order
     lb = max(minor_min_width(g), 0)
     expanded = 0
     try:
         while lb < ub:
-            found, states = _search(g, ub - 1, budget)
+            found, states = _search(g, lb, budget)
             expanded += states
-            if found is None:
-                lb = ub
+            if found is not None:
+                order, ub = found, lb
                 break
-            best_order = found
-            td = decomposition_from_order(g, found)
-            ub = td.width
+            lb += 1
     except BudgetExceeded:
         return TreewidthResult("unknown", None, None, lb, ub, expanded + budget)
-    td = decomposition_from_order(g, best_order)
+    td = decomposition_from_order(g, order)
     report = verify_tree_decomposition(g, td)
     if not report.valid or report.width != ub:
         raise AssertionError(f"solver produced an invalid decomposition: {report.violation}")

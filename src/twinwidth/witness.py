@@ -132,13 +132,7 @@ def _try(g, p_next, ids, t, pt_next):
         return None, exc.condition
 
 
-def advance_witness(
-    g: Graph,
-    p_j: VertexPartition,
-    w: WitnessState,
-    split: Split,
-    pt: PartitionedTrigraph | None = None,
-) -> InvariantReport:
+def advance_witness(g: Graph, p_j: VertexPartition, w: WitnessState, split: Split) -> InvariantReport:
     """Push a witness through one uncontraction split.
 
     MAINTAINED carries the successor (validated when it is made).  When
@@ -146,11 +140,10 @@ def advance_witness(
     VIOLATED_RED_DEGREE: under the invariant's hypotheses that only
     happens when maintenance would force a third red edge somewhere.
     VIOLATED_STRUCTURE means the input state itself was not a witness.
-    A given `pt` must be the quotient of p_j, and the split must obey the
-    split rule of `partitions.refine_part` (ValueError otherwise).
+    The split must obey the split rule of `partitions.refine_part`
+    (ValueError otherwise).
     """
-    if pt is None:
-        pt = quotient(g, p_j)
+    pt = quotient(g, p_j)
     try:
         w = check_witness(g, p_j, w.x1, w.x2, w.x3, w.x4, w.t, pt=pt)
     except WitnessViolation as exc:

@@ -120,6 +120,15 @@ def random_graphs(seed: int, count: int, n_max: int, n_min: int = 1) -> list[Gra
     return [random_graph(rng, rng.randint(n_min, n_max)) for _ in range(count)]
 
 
+def random_sparse(rng: random.Random, n: int) -> Graph:
+    """A random tree plus 0.5n-1.5n chords, like the benchmark's gated graphs."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    extra = rng.randint(n // 2, 3 * n // 2)
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph_from_edges(n, edges)
+
+
 def random_cograph(rng: random.Random, n: int) -> Graph:
     """A random cograph on n >= 1 vertices: a random split of a shuffled
     vertex list, each side built recursively, joined completely or not

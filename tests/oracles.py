@@ -11,7 +11,8 @@ naive quotient colours each part pair by its own crossing count, and
 the naive flow keeps capacities and flows apart, and the naive witness
 check runs that flow before the inequality; the naive witness automaton
 re-validates every state it is handed and takes a split's quotient on
-trust, and the naive path layout scans the edges; the naive replay
+trust, and the naive path layout scans the edges; the naive
+decomposition sequence roots its bag tree in two passes; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
 product; the naive DIMACS reader normalises each edge twice; the
 separator oracle enumerates vertex subsets exhaustively.
@@ -25,7 +26,14 @@ from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
 from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
 from twinwidth.io import FormatError
 from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
-from twinwidth.sequences import SequenceError, Split, UncontractionSequence, partitions_at
+from twinwidth.sequences import (
+    ContractionSequence,
+    SequenceError,
+    Split,
+    UncontractionSequence,
+    partitions_at,
+    sequence_from_pairs,
+)
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 from twinwidth.witness import (
     MAINTAINED,
@@ -547,6 +555,72 @@ def naive_search_degree_one(g: Graph, k: int, budget: int | None) -> tuple[list[
 
 def naive_treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | None:
     return naive_search(g, k, budget)[0]
+
+
+# ---------------------------------------------- decomposition sequence
+
+
+def naive_decomposition_sequence(g: Graph, td: TreeDecomposition) -> ContractionSequence:
+    """Contraction sequence guided by a tree decomposition: the two-pass
+    construction (a depth-first walk, then a second pass over the
+    adjacency for parents and children) kept as the reference.
+
+    Vertices are contracted into one accumulator in post-order of the
+    rooted bag tree, heavier subtrees first; a vertex dies when the walk
+    leaves the last bag containing it, so the accumulator's red neighbours
+    stay confined to bags along the current root path.
+    """
+    if g.n == 0:
+        raise ValueError("cannot build a sequence for the empty graph")
+    ids = [i for i, _ in td.bags]
+    bag = td.by_id
+    nbrs: dict[int, list[int]] = {i: [] for i in ids}
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    root = min(ids)
+    order: list[int] = []
+    seen = {root}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for y in sorted(nbrs[node]):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    parent = {root: None}
+    children: dict[int, list[int]] = {i: [] for i in ids}
+    for node in order:
+        for y in nbrs[node]:
+            if y not in parent:
+                parent[y] = node
+                children[node].append(y)
+    weight: dict[int, int] = {}
+    for node in reversed(order):
+        weight[node] = 1 + sum(weight[c] for c in children[node])
+
+    # reversed, a pre-order that takes the lightest child first is the
+    # heavier-first post-order; an explicit stack keeps deep bag trees safe
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(sorted(children[node], key=lambda c: (-weight[c], c)))
+    pairs: list[tuple[int, int]] = []
+    acc: int | None = None  # certificate id of the accumulator
+    forgotten: set[int] = set()
+    for node in reversed(preorder):
+        above = bag[parent[node]] if node != root else frozenset()
+        for v in sorted(bag[node] - above - forgotten):
+            forgotten.add(v)
+            if acc is None:
+                acc = v
+            else:
+                pairs.append((acc, v))
+                acc = g.n + len(pairs) - 1
+    return sequence_from_pairs(g.n, pairs)
 
 
 # ----------------------------------------------------- tree-width oracle

@@ -226,6 +226,20 @@ class TestTreewidthCli:
         assert main_treewidth([str(f), "--budget", "5"]) == 2
         assert capsys.readouterr().out == "tw: unknown (bounds 4..5 after 5 states)\n"
 
+    def test_budget_reports_the_refuted_bounds(self, tmp_path, capsys):
+        # every k below the lower bound was refuted; the upper bound is min-fill's
+        import random
+
+        from corpus import random_sparse
+
+        rng = random.Random(2318)
+        for i in range(75):
+            g = random_sparse(rng, 18 + i % 6)
+        f = tmp_path / "sparse.gr"
+        f.write_text(write_dimacs(g))
+        assert main_treewidth([str(f), "--budget", "100"]) == 2
+        assert capsys.readouterr().out == "tw: unknown (bounds 5..6 after 109 states)\n"
+
     def test_budget_defaults_to_the_gate_constant(self, tmp_path, capsys, monkeypatch):
         # with no --budget the search was unbounded in time and memory
         from twinwidth import treewidth

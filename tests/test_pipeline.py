@@ -1,19 +1,21 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
-from corpus import random_tree
-from twinwidth.graphs import cycle_graph, graph_from_edges, grid_graph, path_graph
+from corpus import random_graph, random_tree
+from oracles import naive_decomposition_sequence
+from twinwidth.graphs import cycle_graph, graph_from_edges, grid_graph, pair, path_graph
 from twinwidth.pipeline import (
     WidthBoundMissed,
     decomposition_sequence,
     pipeline_certify,
     regime_floor,
 )
-from twinwidth.sequences import verify_width
+from twinwidth.sequences import SequenceError, verify_width
 from twinwidth.structure import gen_wall
-from twinwidth.treewidth import decomposition_from_order, treewidth_exact
+from twinwidth.treewidth import TreeDecomposition, decomposition_from_order, min_fill_order, treewidth_exact
 
 
 class TestDecompositionSequence:
@@ -40,6 +42,64 @@ class TestDecompositionSequence:
         g = graph_from_edges(1, [])
         td = treewidth_exact(g).decomposition
         assert len(decomposition_sequence(g, td).steps) == 0
+
+
+def _certify_family(rng: random.Random) -> list:
+    """Trees, caterpillars, ear graphs, subdivided K4s and cycles, like the
+    benchmark's certify ops."""
+    graphs = [random_tree(rng, n) for n in (2, 3, 10, 60, 300)]
+    for spine, legs in ((1, 0), (5, 3), (40, 20), (200, 0), (200, 100)):
+        graphs.append(graph_from_edges(spine + legs, [(i, i + 1) for i in range(spine - 1)]
+                                       + [(rng.randrange(spine), spine + j) for j in range(legs)]))
+    for ears in range(0, 18, 3):  # a 5-cycle with paths of length 4 hung on its edges
+        edges, n = {pair(i, (i + 1) % 5) for i in range(5)}, 5
+        for _ in range(ears):
+            u, v = rng.choice(sorted(edges))
+            chain = [u, n, n + 1, n + 2, v]
+            n += 3
+            edges |= {pair(a, b) for a, b in zip(chain, chain[1:])}
+        graphs.append(graph_from_edges(n, edges))
+    for times in (0, 1, 3, 8):
+        edges, n = [], 4
+        for u, v in combinations(range(4), 2):
+            chain = [u, *range(n, n + times), v]
+            n += times
+            edges += zip(chain, chain[1:])
+        graphs.append(graph_from_edges(n, edges))
+    return graphs + [cycle_graph(n) for n in (3, 4, 20, 150)]
+
+
+def _sequence_outcome(build, g, td):
+    try:
+        return build(g, td).pairs()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestDecompositionSequenceAgainstNaive:
+    """Rooting the bag tree in one breadth-first walk gives the sequence of
+    the depth-first walk with a second adjacency pass
+    (`oracles.naive_decomposition_sequence`)."""
+
+    def test_certify_families(self):
+        for g in _certify_family(random.Random(31)):
+            for td in (decomposition_from_order(g, min_fill_order(g)[0]), treewidth_exact(g).decomposition):
+                assert decomposition_sequence(g, td).pairs() == naive_decomposition_sequence(g, td).pairs()
+
+    def test_shuffled_orders_of_random_graphs(self):
+        rng = random.Random(32)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 30), rng.choice([0.1, 0.2, 0.4]))
+            order = rng.sample(range(g.n), g.n)
+            td = decomposition_from_order(g, order)
+            assert decomposition_sequence(g, td).pairs() == naive_decomposition_sequence(g, td).pairs()
+
+    def test_disconnected_bag_tree(self):
+        g = path_graph(4)
+        td = TreeDecomposition(((5, frozenset({0, 1})), (2, frozenset({1, 2})), (7, frozenset({2, 3}))), ((5, 2),))
+        outcome = _sequence_outcome(decomposition_sequence, g, td)
+        assert outcome == _sequence_outcome(naive_decomposition_sequence, g, td)
+        assert outcome[0] is SequenceError  # vertex 3 sits only in the unreached bag
 
 
 class TestPipeline:

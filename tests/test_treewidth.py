@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from corpus import random_graph, random_tree
+from corpus import random_graph, random_sparse, random_tree
 from oracles import (
     _naive_eliminate,
     naive_almost_simplicial,
@@ -86,15 +86,29 @@ class TestExact:
         assert treewidth_exact(grid_graph(4)).expanded == 0  # min-fill meets the lower bound
         rng = random.Random(2318)
         for i in range(12):
-            g = _sparse(rng, 18 + i % 6)
+            g = random_sparse(rng, 18 + i % 6)
             lb, ub, states = minor_min_width(g), min_fill_order(g)[1], 0
-            while lb < ub:
-                order, spent = search_with_states(g, ub - 1, None)
+            while lb < ub:  # climbs from the lower bound to the first YES
+                order, spent = search_with_states(g, lb, None)
                 states += spent
-                if order is None:
+                if order is not None:
                     break
-                ub = decomposition_from_order(g, order).width
-            assert treewidth_exact(g).expanded == states
+                lb += 1
+            r = treewidth_exact(g)
+            assert r.expanded == states and r.width == lb
+
+    def test_budget_keeps_every_refuted_bound(self):
+        # the NO at k = 4 takes 9 states and the search at k = 5 takes 134;
+        # deciding downward from min-fill's 6 would spend the budget at k = 5
+        # and could report only 4..6
+        rng = random.Random(2318)
+        for i in range(75):
+            g = random_sparse(rng, 18 + i % 6)
+        assert g.n == 20 and (minor_min_width(g), min_fill_order(g)[1]) == (4, 6)
+        assert search_with_states(g, 4, None) == (None, 9)
+        r = treewidth_exact(g, budget=100)
+        assert (r.status, r.lb, r.ub, r.expanded) == ("unknown", 5, 6, 109)
+        assert treewidth_exact(g).width == 6
 
 
 class TestDecide:
@@ -105,6 +119,13 @@ class TestDecide:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceeded):
             treewidth_decide(grid_graph(5), 4, budget=3)
+
+    def test_negative_bound(self):
+        # tree-width -1 belongs to the empty graph alone; the search says so
+        # without a special case
+        assert treewidth_decide(path_graph(0), -1) is True
+        for g in (path_graph(1), graph_from_edges(3, []), grid_graph(3)):
+            assert treewidth_decide(g, -1) is False
 
     def test_negative_budget_is_rejected(self):
         # these ignored the budget, even where the search ran
@@ -223,15 +244,6 @@ class TestHelpers:
         assert verify_tree_decomposition(g, r.decomposition).valid
 
 
-def _sparse(rng: random.Random, n: int):
-    """A random tree plus 0.5n-1.5n chords, like the benchmark's gated graphs."""
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    extra = rng.randint(n // 2, 3 * n // 2)
-    while len(edges) < n - 1 + extra:
-        edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    return graph_from_edges(n, edges)
-
-
 def _pinned_corpus() -> list:
     """Seeded graphs on which the heuristics must match the naive rescans."""
     rng = random.Random(8128)
@@ -241,7 +253,7 @@ def _pinned_corpus() -> list:
     graphs += [grid_graph(r, c) for r in range(1, 7) for c in range(r, 9)]
     for i in range(120):  # every density from nearly empty to nearly complete
         graphs.append(random_graph(rng, rng.randint(2, 40), (i % 10 + 0.5) / 10))
-    graphs += [_sparse(rng, 18 + i % 6) for i in range(60)]
+    graphs += [random_sparse(rng, 18 + i % 6) for i in range(60)]
     for _ in range(6):
         graphs.append(random_tree(rng, rng.randint(2, 300)))
         spine = rng.randint(2, 200)
@@ -301,13 +313,13 @@ def _sparse_cases() -> list:
     rng = random.Random(2318)
     cases = []
     for i in range(24):  # the benchmark's gate: k = minor_min_width and k + 1
-        g = _sparse(rng, 18 + i % 6)
+        g = random_sparse(rng, 18 + i % 6)
         k = minor_min_width(g)
         cases += [(g, k), (g, k + 1)]
     # a graph that needs the search, with its vertices spread among five isolated ones
     while True:
         place = rng.sample(range(25), 20)
-        g = graph_from_edges(25, [(place[u], place[v]) for u, v in _sparse(rng, 20).edges])
+        g = graph_from_edges(25, [(place[u], place[v]) for u, v in random_sparse(rng, 20).edges])
         if min_fill_order(g)[1] > minor_min_width(g):
             return cases + [(g, minor_min_width(g))]
 

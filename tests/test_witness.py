@@ -152,10 +152,6 @@ class TestCheckWitness:
         other = quotient(g, singleton_partition(g.n))
         with pytest.raises(ValueError, match="another partition"):
             check_witness(g, p, *w.parts, 2, pt=other)
-        b = max(x1)
-        split = Split(min(x1), min(x1), x1 - {b}, b, frozenset({b}))
-        with pytest.raises(ValueError, match="another partition"):
-            advance_witness(g, p, w, split, pt=other)
 
 
 def _verdict(check, g, p, ids, t, pt):
@@ -393,7 +389,7 @@ class TestAutomatonAgainstNaive:
         assert kinds[MAINTAINED] >= 50 and kinds[VIOLATED_RED_DEGREE] >= 50, kinds
 
     def test_the_successor_is_built_on_the_split_partition(self):
-        # advance_witness builds the split's quotient itself and takes none
+        # advance_witness builds both quotients itself and takes neither
         # from the caller, so the successor sits on the split partition
         g, x1, x2, x3, x4 = four_blobs()
         extra = frozenset({g.n, g.n + 1})
@@ -401,8 +397,9 @@ class TestAutomatonAgainstNaive:
         p = partition_from_blocks(g2.n, [x1, x2, x3, x4, extra])
         w = check_witness(g2, p, min(x1), min(x2), min(x3), min(x4), 2)
         split = Split(min(extra), g.n, frozenset({g.n}), g.n + 1, frozenset({g.n + 1}))
-        with pytest.raises(TypeError):
-            advance_witness(g2, p, w, split, pt_next=quotient(g2, p))
+        for kw in ("pt", "pt_next"):
+            with pytest.raises(TypeError):
+                advance_witness(g2, p, w, split, **{kw: quotient(g2, p)})
         assert advance_witness(g2, p, w, split).successor.index == 6
 
     def test_unknown_split_parent_is_named(self):
