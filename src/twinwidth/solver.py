@@ -12,16 +12,19 @@ A state is a list of parts, each a bitmask over original vertices, with
 two quotient rows per part, bitmasks over part positions: `adjs` (parts
 joined by any edge) and `reds` (red joins).  A merge of parts i, j is
 scored from these rows alone: the merged part is black to w iff both are,
-unjoined iff neither is joined, else red; only the rows it or the old red
-rows of i and j touch change degree, and the largest untouched degree is
-read off the degree classes.  Merges over the width bound are pruned, the
-rest sorted, and a child's parts and rows are built only when the DFS
+unjoined iff neither is joined, else red, and since red rows lie inside
+adjacency rows its red row is (ai ^ aj) | ri | rj, three operations.
+A row red to i or j stays red to the merged part, so every other row's
+red degree moves by +1, 0 or -1, and the largest of them is read off
+the degree classes.  Merges over the width bound are pruned, the rest
+sorted, and a child's parts and rows are built only when the DFS
 reaches it and its partition is not yet visited.
 
 The heuristics walk the same rows without backtracking: greedy is the
-search's first branch at unbounded width, and the width-0 path merges
-the first twin pair until none is left.  `sequences` replays every
-certificate and shares no code with this module.
+search's first branch at unbounded width, found by stepping the bound up
+from the width so far until some merge is admitted, and the width-0 path
+merges the first twin pair until none is left.  `sequences` replays
+every certificate and shares no code with this module.
 """
 
 from dataclasses import dataclass
@@ -59,7 +62,9 @@ def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[t
     parts i < j that keeps the red degree <= d, unsorted; the tuple order is
     the search order, and the certificate pair decides every tie.  Parts are
     positions: exts holds their certificate ids, adjs and reds their
-    quotient rows.  Scores from the parents' rows only; builds no child."""
+    quotient rows.  Scores from the parents' rows only; builds no child.
+    The merged red row is (ai ^ aj) | ri | rj, pruned on its size first,
+    and every other row's red degree moves by +1, 0 or -1."""
     p = len(reds)
     by_deg: dict[int, int] = {}
     for w, r in enumerate(reds):
@@ -71,31 +76,28 @@ def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[t
     for i in range(p):
         ai, ri = adjs[i], reds[i]
         for j in range(i + 1, p):
-            aj, rj = adjs[j], reds[j]
-            keep = full ^ (1 << i) ^ (1 << j)
-            # black to the merged part iff black to both, none iff none to both, else red
-            merged = (ai | aj) & ~(ai & aj & ~(ri | rj)) & keep
-            maxdeg = merged.bit_count()
+            rj = reds[j]
+            # red to the merged part: joined to exactly one of i, j, or red to
+            # either; bits i and j are both set iff i and j are joined
+            merged = (ai ^ adjs[j]) | ri | rj
+            maxdeg = merged.bit_count() - 2 * (ai >> j & 1)
             if maxdeg > d:
                 continue
-            # row w's red degree moves by [w in merged] - [w red to i] - [w red to j];
+            keep = full ^ (1 << i) ^ (1 << j)
+            merged &= keep
+            up = merged & ~(ri | rj)  # +1: newly red to the merged part
+            both = ri & rj  # -1: red to both; every other row stays
             # walk the degree classes down while one can still raise maxdeg
-            was = (ri | rj) & keep
-            up = merged & ~was  # +1
-            flat = (merged & (ri ^ rj)) | (keep & ~merged & ~was)  # 0
-            down2 = ri & rj & ~merged  # -2; the rest of `was` moves by -1
             for k, rows in classes:
                 if k < maxdeg:
                     break
                 rows &= keep
                 if rows & up:
                     maxdeg = k + 1
-                elif rows & flat:
+                elif rows & ~both:
                     maxdeg = k
-                elif rows & ~down2:
-                    maxdeg = max(maxdeg, k - 1)
                 elif rows:
-                    maxdeg = max(maxdeg, k - 2)
+                    maxdeg = max(maxdeg, k - 1)
             if maxdeg > d:
                 continue
             a, b = exts[i], exts[j]
@@ -106,21 +108,21 @@ def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[t
 def _child_rows(adjs: list[int], reds: list[int], i: int, j: int, merged_red: int) -> tuple[list[int], list[int]]:
     """The quotient rows after merging parts i < j, whose merged red row
     `_scored` gave: positions shift down past i and j, the merged part
-    goes last."""
+    goes last.  Every row is rebuilt, with the shifts inlined; an empty
+    red row needs none."""
     p = len(reds)
     low, mid, top = (1 << i) - 1, (1 << (j - i - 1)) - 1, 1 << (p - 2)
-
-    def squeeze(r: int) -> int:
-        return (r & low) | ((r >> (i + 1)) & mid) << i | (r >> (j + 1)) << (j - 1)
-
+    i1, j1, jm = i + 1, j + 1, j - 1
     merged_adj = (adjs[i] | adjs[j]) & ~(1 << i | 1 << j)
     new_adjs, new_reds = [], []
-    for w in range(p):
+    for w, (a, r) in enumerate(zip(adjs, reds)):
         if w != i and w != j:
-            new_adjs.append(squeeze(adjs[w]) | (top if merged_adj >> w & 1 else 0))
-            new_reds.append(squeeze(reds[w]) | (top if merged_red >> w & 1 else 0))
-    new_adjs.append(squeeze(merged_adj))
-    new_reds.append(squeeze(merged_red))
+            new_adjs.append((a & low) | ((a >> i1) & mid) << i | (a >> j1) << jm | (top if merged_adj >> w & 1 else 0))
+            if r:
+                r = (r & low) | ((r >> i1) & mid) << i | (r >> j1) << jm
+            new_reds.append(r | top if merged_red >> w & 1 else r)
+    new_adjs.append((merged_adj & low) | ((merged_adj >> i1) & mid) << i | (merged_adj >> j1) << jm)
+    new_reds.append((merged_red & low) | ((merged_red >> i1) & mid) << i | (merged_red >> j1) << jm)
     return new_adjs, new_reds
 
 
@@ -236,10 +238,11 @@ def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     steps: list[tuple[int, int]] = []
     width = 0
     while len(exts) > 1:
-        # a merge that keeps the width so far beats every merge that raises
-        # it, so scoring under that bound first picks the same pair
-        deg, uv, i, j, merged_red = min(_scored(exts, adjs, reds, width) or _scored(exts, adjs, reds, n))
-        width = max(width, deg)
+        # the best merge is the smallest one admitted under the lowest
+        # bound that admits any, stepped up from the width so far
+        while not (scored := _scored(exts, adjs, reds, width)):
+            width += 1
+        _, uv, i, j, merged_red = min(scored)
         steps.append(uv)
         adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
         exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]

@@ -244,6 +244,12 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
         return order, 0
     if minor_min_width(g) > k:
         return None, 0
+    return _subset_search(g, k, budget)
+
+
+def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """`_search` for 0 <= k < n - 1 without its heuristic pre-checks."""
+    n = g.n
     full = (1 << n) - 1
     visited: set[int] = set()
     expanded = 0
@@ -376,8 +382,9 @@ def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
 
     Climbs from the contraction lower bound: each k = lb, lb + 1, ...
     below the min-fill upper bound is decided by the memoized subset
-    search, with its own budget.  Every NO raises lb to k + 1; the first
-    YES is the width, and min-fill's order is taken if none comes.  One
+    search, with its own budget and no pre-checks (lb <= k < ub <= n - 1
+    leaves none to fire).  Every NO raises lb to k + 1; the first YES is
+    the width, and min-fill's order is taken if none comes.  One
     decomposition is built, from the winning order, and verified.  On
     budget exhaustion the result is UNKNOWN with bounds lb..ub: every
     k below lb is refuted, by the contraction bound or by a search, and
@@ -391,7 +398,7 @@ def treewidth_exact(g: Graph, budget: int | None = None) -> TreewidthResult:
     expanded = 0
     try:
         while lb < ub:
-            found, states = _search(g, lb, budget)
+            found, states = _subset_search(g, lb, budget)
             expanded += states
             if found is not None:
                 order, ub = found, lb

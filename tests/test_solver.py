@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import time
+from itertools import accumulate
 
 import pytest
 
@@ -19,8 +20,9 @@ from twinwidth.graphs import (
     trigraph_from_graph,
 )
 from twinwidth import solver
-from twinwidth.sequences import ReplayState, verify_width
+from twinwidth.sequences import ReplayState, verify_width, width_trace
 from twinwidth.solver import (
+    _child_rows,
     _scored,
     decide_twinwidth_at_most,
     greedy_sequence,
@@ -181,36 +183,83 @@ class TestSearchOrderPinned:
                     assert verify_width(g, r.sequence) <= d
 
 
+def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:
+    """The quotient rows of trigraph t, parts at the positions of `live`."""
+    pos = {x: k for k, x in enumerate(live)}
+    adjs = [sum(1 << pos[y] for y in t.neighbors(x)) for x in live]
+    reds = [sum(1 << pos[y] for y in t.red_adj[x]) for x in live]
+    return adjs, reds
+
+
+def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
+    """Checks every merge's score against a contracted trigraph along one
+    random merge path per graph; returns how many merges were scored and
+    in how many some row is red to both merged parts."""
+    scored = both = 0
+    for g in graphs:
+        n = g.n
+        t = trigraph_from_graph(g)
+        for j in range(n - 1):
+            live = sorted(t.vertices)
+            adjs, reds = _trigraph_rows(t, live)
+            want = {}
+            for a in range(len(live)):
+                for b in range(a + 1, len(live)):
+                    want[live[a], live[b]] = max_red_degree(contract(t, live[a], live[b], n + j))
+            for d in range(4):
+                got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
+                assert got == {uv: deg for uv, deg in want.items() if deg <= d}
+            got = sorted(_scored(live, adjs, reds, n))
+            assert [(deg, uv) for deg, uv, *_ in got] == sorted((deg, uv) for uv, deg in want.items())
+            assert all((live[a], live[b]) == uv for _, uv, a, b, _ in got)
+            scored += len(got)
+            both += sum(1 for _, _, a, b, _ in got if reds[a] & reds[b])
+            u, v = sorted(rng.sample(live, 2))
+            t = contract(t, u, v, n + j)
+    return scored, both
+
+
 class TestChildScores:
     """The search scores a merge from its parents' quotient rows; each
     score must equal the max red degree of the contracted trigraph."""
 
     def test_scores_match_contract(self):
         rng = random.Random(2024)
-        scored = 0
-        for _ in range(60):
-            n = rng.randint(2, 11)
-            g = random_graph(rng, n)
-            t = trigraph_from_graph(g)
-            for j in range(n - 1):
-                live = sorted(t.vertices)
-                pos = {x: k for k, x in enumerate(live)}
-                adjs = [sum(1 << pos[y] for y in t.neighbors(x)) for x in live]
-                reds = [sum(1 << pos[y] for y in t.red_adj[x]) for x in live]
-                want = {}
-                for a in range(len(live)):
-                    for b in range(a + 1, len(live)):
-                        want[live[a], live[b]] = max_red_degree(contract(t, live[a], live[b], n + j))
-                for d in range(4):
-                    got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
-                    assert got == {uv: deg for uv, deg in want.items() if deg <= d}
-                got = sorted(_scored(live, adjs, reds, n))
-                assert [(deg, uv) for deg, uv, *_ in got] == sorted((deg, uv) for uv, deg in want.items())
-                assert all((live[a], live[b]) == uv for _, uv, a, b, _ in got)
-                scored += len(got)
-                u, v = sorted(rng.sample(live, 2))
-                t = contract(t, u, v, n + j)
+        scored, _ = _scores_along_random_paths(rng, (random_graph(rng, rng.randint(2, 11)) for _ in range(60)))
         assert scored > 1000
+
+    def test_scores_match_contract_on_larger_denser_graphs(self):
+        # a row red to both merged parts loses a red edge: the -1 move
+        rng = random.Random(2025)
+        graphs = [random_graph(rng, rng.randint(12, 16), rng.uniform(0.5, 0.9)) for _ in range(24)]
+        graphs += [random_graph(rng, rng.randint(12, 16), rng.uniform(0.15, 0.3)) for _ in range(8)]
+        scored, both = _scores_along_random_paths(rng, graphs)
+        assert scored > 15000 and both > 5000
+
+
+class TestChildRows:
+    """`_child_rows` rebuilds every row with the position shifts inlined;
+    after each merge of a random path its rows must be those of the
+    `graphs.contract` trigraph, the merged part last."""
+
+    def test_rows_match_contract(self):
+        rng = random.Random(1729)
+        graphs = [random_graph(rng, rng.randint(2, 16), rng.uniform(0.05, 0.25)) for _ in range(40)]
+        graphs += [random_graph(rng, rng.randint(2, 16), rng.uniform(0.6, 0.95)) for _ in range(40)]
+        steps = 0
+        for g in graphs:
+            n = g.n
+            t = trigraph_from_graph(g)
+            live, adjs, reds = list(range(n)), solver._singleton_rows(g), [0] * n
+            for x in range(n, 2 * n - 1):
+                i, j = sorted(rng.sample(range(len(live)), 2))
+                merged_red = next(m for _, _, a, b, m in _scored(live, adjs, reds, n) if (a, b) == (i, j))
+                adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
+                t = contract(t, live[i], live[j], x)
+                live = live[:i] + live[i + 1:j] + live[j + 1:] + [x]
+                assert (adjs, reds) == _trigraph_rows(t, live), sorted(g.edges)
+                steps += 1
+        assert steps > 500
 
 
 class TestZero:
@@ -245,9 +294,15 @@ class TestAgainstContractOracles:
 
     def test_greedy_pairs_match(self):
         named = [cycle_graph(8), grid_graph(4, 4), gen_wall(4)[0], gen_tww3_family(3)[0]]
+        jumps = 0
         for g in named + random_graphs(2718, 120, 10) + random_graphs(1414, 6, 14, 12):
             s, _ = greedy_sequence(g)
             assert list(s.pairs()) == naive_greedy_pairs(g), sorted(g.edges)
+            widths = [0, *accumulate(width_trace(g, s), max)]
+            jumps += any(b - a >= 2 for a, b in zip(widths, widths[1:]))
+        # greedy steps its bound up one at a time from the width so far, so
+        # a step that raises the width by 2 or more rescores at every bound
+        assert jumps >= 5
 
     def test_twin_merges_match(self):
         rng = random.Random(1618)
