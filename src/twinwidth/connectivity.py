@@ -12,7 +12,17 @@ node-id order, as the explicit split network would, so flows, paths and
 cuts are deterministic.  The path count always equals the separator size,
 and a vertex in both A and B counts as a zero-length path that occupies
 the vertex.
+
+One flow gives both answers, and each graph's solved flows are memoised:
+`_FLOWS` maps a graph, weakly, to its solves keyed by (A, B, within) as
+frozensets (within None for the whole graph).  A graph's entries die with
+the graph, so the memo needs no size cap; equal graphs share one entry,
+since the answers depend on the vertices and edges alone.  Every solve
+checks its cut against the flow value and its paths for disjointness
+before it is stored, and each call returns fresh path lists.
 """
+
+import weakref
 
 from .graphs import Graph
 
@@ -32,14 +42,13 @@ class _VertexFlow:
     receives it, or _SINK; both are None when i carries no flow.
     """
 
-    def __init__(self, g: Graph, A, B, within):
-        allowed = frozenset(range(g.n) if within is None else within)
+    def __init__(self, g: Graph, A: frozenset[int], B: frozenset[int], within: frozenset[int] | None):
+        allowed = frozenset(range(g.n)) if within is None else within
         verts = sorted(allowed)
         if verts:
             g._check(verts[0])
             g._check(verts[-1])
-        self.A = frozenset(A)
-        self.B = frozenset(B)
+        self.A, self.B = A, B
         for side, name in ((self.A, "A"), (self.B, "B")):
             if not side <= allowed:
                 v = min(side - allowed)
@@ -144,6 +153,37 @@ class _VertexFlow:
         return sorted(result)
 
 
+_FLOWS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
+
+
+def _solve(g: Graph, A, B, within) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """The minimum cut and the path family of one flow, from the memo or
+    from one checked `_VertexFlow` solve."""
+    key = (frozenset(A), frozenset(B), None if within is None else frozenset(within))
+    solved = _FLOWS.setdefault(g, {})
+    hit = solved.get(key)
+    if hit is not None:
+        return hit
+    net = _VertexFlow(g, *key)
+    value = net.max_flow()
+    seen = net.seen
+    cut = frozenset(v for i, v in enumerate(net.verts) if seen[2 + 2 * i] and not seen[3 + 2 * i])
+    if len(cut) != value:
+        raise AssertionError("max-flow/min-cut mismatch")
+    paths = net.paths()
+    if len(paths) != value:
+        raise AssertionError("path decomposition does not match the flow value")
+    used: set[int] = set()
+    for p in paths:
+        if not p or p[0] not in net.A or p[-1] not in net.B:
+            raise AssertionError("extracted path does not run from A to B")
+        if used & set(p):
+            raise AssertionError("extracted paths share a vertex")
+        used |= set(p)
+    solved[key] = hit = (cut, tuple(map(tuple, paths)))
+    return hit
+
+
 def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]]]:
     """Maximum family of pairwise vertex-disjoint A-B paths.
 
@@ -151,27 +191,10 @@ def max_disjoint_paths(g: Graph, A, B, within=None) -> tuple[int, list[list[int]
     ending in B (a single vertex for members of A & B).  `within`
     restricts the search to an induced subgraph.
     """
-    net = _VertexFlow(g, A, B, within)
-    value = net.max_flow()
-    paths = net.paths()
-    if len(paths) != value:
-        raise AssertionError("path decomposition does not match the flow value")
-    seen: set[int] = set()
-    for p in paths:
-        if not p or p[0] not in net.A or p[-1] not in net.B:
-            raise AssertionError("extracted path does not run from A to B")
-        if seen & set(p):
-            raise AssertionError("extracted paths share a vertex")
-        seen |= set(p)
-    return value, paths
+    cut, paths = _solve(g, A, B, within)
+    return len(cut), [list(p) for p in paths]
 
 
 def min_vertex_cut(g: Graph, A, B, within=None) -> frozenset[int]:
     """A minimum vertex set meeting every A-B path (may include A or B vertices)."""
-    net = _VertexFlow(g, A, B, within)
-    value = net.max_flow()
-    seen = net.seen
-    cut = frozenset(v for i, v in enumerate(net.verts) if seen[2 + 2 * i] and not seen[3 + 2 * i])
-    if len(cut) != value:
-        raise AssertionError("max-flow/min-cut mismatch")
-    return cut
+    return _solve(g, A, B, within)[0]

@@ -10,6 +10,7 @@ fail the checks are skipped.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from twinwidth.graphs import Graph, pair
 from twinwidth.sequences import UncontractionSequence, uncontraction_from_chain
@@ -121,8 +122,10 @@ def _strip_plant(
     return Plant(name, g, useq, mesh, k, 1, expected)
 
 
-def planted_cases() -> list[Plant]:
-    """Fifty engineered states whose witness position is known by construction."""
+@lru_cache(maxsize=None)
+def planted_cases() -> tuple[Plant, ...]:
+    """Fifty engineered states whose witness position is known by
+    construction, built once per session."""
     plants = []
     for subdivide in (0, 1, 2):
         for by_rows in (False, True):
@@ -137,12 +140,14 @@ def planted_cases() -> list[Plant]:
                             except PlantError:
                                 continue
                             if len(plants) == 50:
-                                return plants
+                                return tuple(plants)
     raise AssertionError(f"only {len(plants)} valid plants")
 
 
-def starved_cases() -> list[Plant]:
-    """Threshold-starved controls: the search must report NOT_FOUND."""
+@lru_cache(maxsize=None)
+def starved_cases() -> tuple[Plant, ...]:
+    """Threshold-starved controls, built once per session: the search must
+    report NOT_FOUND."""
     out = []
 
     # mesh too small for the thresholds: no part can hold 2k^2 branchers
@@ -191,4 +196,4 @@ def starved_cases() -> list[Plant]:
     base = _strip_plant(10, 4, 3, 2, by_rows=False, subdivide=0)
     out.append(Plant("t-too-large", base.g, base.useq, base.mesh, 2, 11, None,
                      stage="both sides small: separator check"))
-    return out
+    return tuple(out)

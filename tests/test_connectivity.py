@@ -1,13 +1,16 @@
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
-from corpus import random_graph, red_paths
+from corpus import random_graph, random_partition, red_paths
 from oracles import min_separator_exhaustive, naive_max_disjoint_paths, naive_min_vertex_cut, separates
+from twinwidth import connectivity, witness
 from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
 from twinwidth.graphs import graph_from_edges, grid_graph, pair, path_graph
-from twinwidth.partitions import quotient
+from twinwidth.partitions import partition_from_blocks, quotient
 from twinwidth.sequences import invert, partitions_at
 from twinwidth.structure import gen_tww3_family, tww3_family_sequence
 
@@ -120,6 +123,106 @@ class TestAgainstNaive:
                 assert min_vertex_cut(g, A, B, within) == naive_min_vertex_cut(g, A, B, within)
                 checked += 1
         assert checked > 0
+
+
+class TestMemo:
+    """Each graph's flows are solved once and answered from the memo after."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """An empty memo, and the (A, B, within) of every flow solved."""
+        monkeypatch.setattr(connectivity, "_FLOWS", weakref.WeakKeyDictionary())
+        solved = []
+
+        class Counted(connectivity._VertexFlow):
+            def __init__(self, g, A, B, within):
+                solved.append((A, B, within))
+                super().__init__(g, A, B, within)
+
+        monkeypatch.setattr(connectivity, "_VertexFlow", Counted)
+        return solved
+
+    def test_hits_agree_with_naive(self, solves):
+        """Parts of random partitions as A, B and within; every problem is
+        asked six times, by both functions in either order, as set,
+        frozenset and list."""
+        rng = random.Random(1616)
+        asked = 0
+        for i in range(150):
+            n = rng.randint(4, 18)
+            g = random_graph(rng, n, (i % 6 + 1) / 12)
+            p = partition_from_blocks(n, random_partition(rng, n))
+            if len(p) < 2:
+                continue
+            a, b = rng.sample(p.ids(), 2)
+            A, B = p.members(a), p.members(b)
+            within = None if i % 3 == 0 else A | B | p.members(rng.choice(p.ids()))
+            paths = naive_max_disjoint_paths(g, A, B, within)
+            cut = naive_min_vertex_cut(g, A, B, within)
+            forms = (set, frozenset, sorted) if i % 2 else (sorted, frozenset, set)
+            for form in forms:
+                w = None if within is None else form(within)
+                if i % 2:
+                    assert min_vertex_cut(g, form(A), form(B), w) == cut
+                    assert max_disjoint_paths(g, form(A), form(B), w) == paths
+                else:
+                    assert max_disjoint_paths(g, form(A), form(B), w) == paths
+                    assert min_vertex_cut(g, form(A), form(B), w) == cut
+            asked += 1
+        assert asked > 100
+        assert len(solves) == asked
+
+    def test_returned_paths_are_fresh(self, solves):
+        g = grid_graph(4, 4)
+        count, paths = max_disjoint_paths(g, [0, 4], [3, 7])
+        assert count == 2 and len(paths) == 2
+        expected = [list(q) for q in paths]
+        paths[0].append(99)
+        paths.pop()
+        assert max_disjoint_paths(g, {0, 4}, frozenset({3, 7})) == (2, expected)
+        assert len(solves) == 1
+
+    def test_within_empty_is_not_the_whole_graph(self, solves):
+        g = path_graph(3)
+        assert min_vertex_cut(g, {0}, {2}) == frozenset({0})
+        with pytest.raises(ValueError):
+            min_vertex_cut(g, {0}, {2}, within=set())
+
+    def test_entry_dies_with_the_graph(self):
+        gc.collect()
+        before = len(connectivity._FLOWS)
+        g = graph_from_edges(13, [(0, 4), (4, 8), (8, 12), (0, 6), (6, 12)])
+        min_vertex_cut(g, {0}, {12})
+        max_disjoint_paths(g, {0}, {12}, within={0, 4, 8, 12})
+        assert len(connectivity._FLOWS) == before + 1 and len(connectivity._FLOWS[g]) == 2
+        alive = weakref.ref(g)
+        del g
+        gc.collect()
+        assert alive() is None
+        assert len(connectivity._FLOWS) == before
+
+    def test_one_solve_per_distinct_witness_flow(self, solves, monkeypatch):
+        """Every red path at t = 1 and t = 2 over every partition of the
+        tww3 N = 5 chain: each (X1, X4, union) the witness check asks for
+        is solved exactly once, however often it is asked."""
+        asked = []
+        cut = witness.min_vertex_cut
+        monkeypatch.setattr(
+            witness, "min_vertex_cut", lambda g, A, B, within: asked.append((A, B, within)) or cut(g, A, B, within)
+        )
+        g, _ = gen_tww3_family(5)
+        u = invert(g, tww3_family_sequence(5))
+        for i in range(1, g.n + 1):
+            p = partitions_at(u, i)
+            pt = quotient(g, p)
+            for ids in red_paths(pt.quotient.red_adj):
+                for t in (1, 2):
+                    try:
+                        witness.check_witness(g, p, *ids, t, pt=pt)
+                    except witness.WitnessViolation:
+                        pass
+        assert len(asked) > len(set(asked)) > 0
+        assert len(solves) == len(set(solves)) and set(solves) == set(asked)
 
 
 def test_small_within_costs_what_it_holds():
