@@ -13,13 +13,18 @@ cuts are deterministic.  The path count always equals the separator size,
 and a vertex in both A and B counts as a zero-length path that occupies
 the vertex.
 
-One flow gives both answers, and each graph's solved flows are memoised:
-`_FLOWS` maps a graph, weakly, to its solves keyed by (A, B, within) as
-frozensets (within None for the whole graph).  A graph's entries die with
-the graph, so the memo needs no size cap; equal graphs share one entry,
-since the answers depend on the vertices and edges alone.  Every solve
-checks its cut against the flow value and its paths for disjointness
-before it is stored, and each call returns fresh path lists.
+One flow gives both answers, and each graph's latest solves are
+memoised: `_FLOWS` maps a graph, by identity, to its last `_KEEP` solves
+keyed by (A, B, within) as frozensets (within None for the whole graph),
+evicting the least recently asked, and a graph's entries die with the
+graph.  A walk along a chain asks the same four parts again at the next
+t and the next index, so the latest few hundred solves hold its repeats,
+and a graph holds at most `_KEEP` entries of O(n) each.  Every answer,
+solved or remembered, is checked against the graph as Menger's
+certificate before it is handed out: the paths are disjoint A-B paths
+of the graph inside `within`, as many as the cut has vertices, and no
+A-B path there avoids the cut, so both are optimal whatever computed
+them.  Each call returns fresh path lists.
 """
 
 import weakref
@@ -153,34 +158,60 @@ class _VertexFlow:
         return sorted(result)
 
 
-_FLOWS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
+_FLOWS: dict[int, dict] = {}  # id(graph) -> its latest solves, oldest first
+_KEEP = 256  # solves remembered per graph
+
+
+def _certify(g: Graph, A: frozenset[int], B: frozenset[int], within: frozenset[int] | None, cut, paths) -> None:
+    """Check an answer against g as Menger's certificate: as many
+    disjoint A-B paths inside `within` as the cut has vertices, and no
+    A-B path inside `within` that avoids the cut."""
+    adj = g.adj
+    used: set[int] = set()
+    for p in paths:
+        if p[0] not in A or p[-1] not in B:
+            raise AssertionError("extracted path does not run from A to B")
+        if not used.isdisjoint(p):
+            raise AssertionError("extracted paths share a vertex")
+        used.update(p)
+        if any(v not in adj[u] for u, v in zip(p, p[1:])):
+            raise AssertionError("extracted path is not a path of the graph")
+    if within is not None and not used <= within:
+        raise AssertionError("extracted path leaves the allowed set")
+    if len(paths) != len(cut):
+        raise AssertionError("max-flow/min-cut mismatch")
+    reached = set(A - cut)
+    stack = list(reached)
+    while stack:
+        v = stack.pop()
+        if v in B:
+            raise AssertionError("the minimum cut misses an A-B path")
+        fresh = adj[v] - cut - reached
+        if within is not None:
+            fresh &= within
+        reached |= fresh
+        stack += fresh
 
 
 def _solve(g: Graph, A, B, within) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
-    """The minimum cut and the path family of one flow, from the memo or
-    from one checked `_VertexFlow` solve."""
+    """The minimum cut and the path family for (A, B, within), remembered
+    or solved, and certified against g either way."""
     key = (frozenset(A), frozenset(B), None if within is None else frozenset(within))
-    solved = _FLOWS.setdefault(g, {})
-    hit = solved.get(key)
-    if hit is not None:
-        return hit
-    net = _VertexFlow(g, *key)
-    value = net.max_flow()
-    seen = net.seen
-    cut = frozenset(v for i, v in enumerate(net.verts) if seen[2 + 2 * i] and not seen[3 + 2 * i])
-    if len(cut) != value:
-        raise AssertionError("max-flow/min-cut mismatch")
-    paths = net.paths()
-    if len(paths) != value:
-        raise AssertionError("path decomposition does not match the flow value")
-    used: set[int] = set()
-    for p in paths:
-        if not p or p[0] not in net.A or p[-1] not in net.B:
-            raise AssertionError("extracted path does not run from A to B")
-        if used & set(p):
-            raise AssertionError("extracted paths share a vertex")
-        used |= set(p)
-    solved[key] = hit = (cut, tuple(map(tuple, paths)))
+    solved = _FLOWS.get(id(g))
+    if solved is None:
+        solved = _FLOWS[id(g)] = {}
+        weakref.finalize(g, _FLOWS.pop, id(g))
+    hit = solved.pop(key, None)
+    if hit is None:
+        net = _VertexFlow(g, *key)
+        net.max_flow()
+        seen = net.seen
+        cut = frozenset(v for i, v in enumerate(net.verts) if seen[2 + 2 * i] and not seen[3 + 2 * i])
+        hit = (cut, tuple(map(tuple, net.paths())))
+        if len(solved) >= _KEEP:
+            del solved[next(iter(solved))]
+    _certify(g, *key, *hit)
+    solved[key] = hit
     return hit
 
 

@@ -24,17 +24,6 @@ class VertexPartition:
     parts: tuple[tuple[int, frozenset[int]], ...]
 
     def __post_init__(self):
-        # set and length checks over all parts at once (sizes summing to
-        # n over a union of 0..n-1 leave no overlap); the walk below runs
-        # only on a failure, to name the first failed condition
-        ids, blocks = zip(*self.parts) if self.parts else ((), ())
-        if (
-            len(set(ids)) == len(ids)
-            and all(blocks)
-            and sum(map(len, blocks)) == self.n
-            and set().union(*blocks) == set(range(self.n))
-        ):
-            return
         seen: set[int] = set()
         ids = set()
         for pid, members in self.parts:

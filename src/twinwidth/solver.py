@@ -21,9 +21,8 @@ sorted, and a child's parts and rows are built only when the DFS
 reaches it and its partition is not yet visited.
 
 The heuristics walk the same rows without backtracking: greedy is the
-search's first branch at unbounded width, found under the lowest bound
-that admits a merge: the width so far, else the least merged red row
-size over all merges, stepped up from there, and the width-0 path
+search's first branch at unbounded width, found by stepping the bound up
+from the width so far until some merge is admitted, and the width-0 path
 merges the first twin pair until none is left.  `sequences` replays
 every certificate and shares no code with this module.
 """
@@ -104,23 +103,6 @@ def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[t
             a, b = exts[i], exts[j]
             out.append((maxdeg, (a, b) if a < b else (b, a), i, j, merged))
     return out
-
-
-def _floor(adjs: list[int], reds: list[int], lo: int) -> int:
-    """The least merged red row size, |(ai ^ aj) | ri | rj| less the
-    joined bits i and j, over all merges of parts i < j: no merge scores
-    below it.  Returns lo as soon as one merge's size is at most lo."""
-    p = len(reds)
-    best = p
-    for i in range(p):
-        ai, ri = adjs[i], reds[i]
-        for j in range(i + 1, p):
-            k = ((ai ^ adjs[j]) | ri | reds[j]).bit_count() - 2 * (ai >> j & 1)
-            if k < best:
-                if k <= lo:
-                    return lo
-                best = k
-    return best
 
 
 def _child_rows(adjs: list[int], reds: list[int], i: int, j: int, merged_red: int) -> tuple[list[int], list[int]]:
@@ -257,10 +239,9 @@ def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     width = 0
     while len(exts) > 1:
         # the best merge is the smallest one admitted under the lowest
-        # bound that admits any: after an empty pass the bound rises by
-        # one, or straight to the floor of every merge's score
+        # bound that admits any, stepped up from the width so far
         while not (scored := _scored(exts, adjs, reds, width)):
-            width = _floor(adjs, reds, width + 1)
+            width += 1
         _, uv, i, j, merged_red = min(scored)
         steps.append(uv)
         adjs, reds = _child_rows(adjs, reds, i, j, merged_red)

@@ -7,8 +7,7 @@ trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree and
 every fill row its almost-simplicial test reads; the
-naive partition check walks the parts one at a time, the naive
-quotient colours each part pair by its own crossing count, and
+naive quotient colours each part pair by its own crossing count, and
 the naive flow keeps capacities and flows apart, and the naive witness
 check runs that flow before the inequality; the naive witness automaton
 re-validates every state it is handed and takes a split's quotient on
@@ -667,23 +666,6 @@ def oracle_treewidth(g: Graph) -> int:
 
 
 # ------------------------------------------------- quotients and flows
-
-
-def naive_partition_error(n: int, parts) -> str | None:
-    """The message `VertexPartition` raises for (n, parts), or None: the
-    first duplicate id, empty part or overlap in part order, then cover."""
-    seen: set[int] = set()
-    ids: set[int] = set()
-    for pid, members in parts:
-        if pid in ids:
-            return f"duplicate part id {pid}"
-        ids.add(pid)
-        if not members:
-            return f"empty part {pid}"
-        if members & seen:
-            return "parts are not disjoint"
-        seen |= members
-    return None if seen == set(range(n)) else "parts do not cover 0..n-1"
 
 
 def _naive_cross_color(g: Graph, a: frozenset[int], b: frozenset[int]) -> str | None:

@@ -131,7 +131,7 @@ class TestMemo:
     @pytest.fixture
     def solves(self, monkeypatch):
         """An empty memo, and the (A, B, within) of every flow solved."""
-        monkeypatch.setattr(connectivity, "_FLOWS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(connectivity, "_FLOWS", {})
         solved = []
 
         class Counted(connectivity._VertexFlow):
@@ -194,12 +194,56 @@ class TestMemo:
         g = graph_from_edges(13, [(0, 4), (4, 8), (8, 12), (0, 6), (6, 12)])
         min_vertex_cut(g, {0}, {12})
         max_disjoint_paths(g, {0}, {12}, within={0, 4, 8, 12})
-        assert len(connectivity._FLOWS) == before + 1 and len(connectivity._FLOWS[g]) == 2
+        assert len(connectivity._FLOWS) == before + 1 and len(connectivity._FLOWS[id(g)]) == 2
         alive = weakref.ref(g)
         del g
         gc.collect()
         assert alive() is None
         assert len(connectivity._FLOWS) == before
+
+    def test_an_equal_graph_solves_afresh(self, solves):
+        """The memo matches graphs by identity: a rebuilt copy of a graph
+        gets a solve of its own."""
+        g = grid_graph(3, 3)
+        h = graph_from_edges(9, g.edges)
+        assert g == h and g is not h
+        assert min_vertex_cut(g, {0}, {8}) == min_vertex_cut(h, {0}, {8}) == min_vertex_cut(g, [0], [8])
+        assert len(solves) == 2
+
+    def test_only_the_latest_solves_are_kept(self, solves, monkeypatch):
+        monkeypatch.setattr(connectivity, "_KEEP", 2)
+        g = grid_graph(3, 3)
+        for b in (8, 7, 8, 5, 8, 7):
+            min_vertex_cut(g, {0}, {b})
+        # 8 is asked again before it is the oldest, so only 7 is evicted
+        assert [B for _, B, _ in solves] == [{8}, {7}, {5}, {7}]
+        assert len(connectivity._FLOWS[id(g)]) == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["cut misses a path", "path off the graph", "paths not disjoint", "path outside within", "path not from A", "a path short"],
+    )
+    def test_a_hit_is_certified_against_the_graph(self, solves, corrupt):
+        """A remembered answer is checked as a Menger certificate on every
+        hit, so a wrong entry cannot be handed out twice."""
+        g = grid_graph(3, 3)
+        A, B, within = frozenset({0, 3}), frozenset({2, 5}), frozenset(range(6))
+        cut = min_vertex_cut(g, A, B, within)
+        assert cut == naive_min_vertex_cut(g, A, B, within) and len(cut) == 2
+        key = (A, B, within)
+        solved = connectivity._FLOWS[id(g)]
+        paths = solved[key][1]
+        solved[key] = {
+            "cut misses a path": (frozenset({0, 1}), paths),
+            "path off the graph": (cut, ((0, 2), (3, 4, 5))),
+            "paths not disjoint": (cut, ((0, 1, 2), (3, 4, 1, 2))),
+            "path outside within": (cut, ((0, 1, 2), (3, 6, 7, 8, 5))),
+            "path not from A": (cut, ((1, 2), (3, 4, 5))),
+            "a path short": (cut, ((0, 1, 2),)),
+        }[corrupt]
+        with pytest.raises(AssertionError):
+            min_vertex_cut(g, A, B, within)
+        assert len(solves) == 1
 
     def test_one_solve_per_distinct_witness_flow(self, solves, monkeypatch):
         """Every red path at t = 1 and t = 2 over every partition of the

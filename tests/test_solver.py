@@ -16,7 +16,6 @@ from twinwidth.graphs import (
     grid_graph,
     max_red_degree,
     path_graph,
-    red_degree,
     relabel,
     trigraph_from_graph,
 )
@@ -24,7 +23,6 @@ from twinwidth import solver
 from twinwidth.sequences import ReplayState, verify_width, width_trace
 from twinwidth.solver import (
     _child_rows,
-    _floor,
     _scored,
     decide_twinwidth_at_most,
     greedy_sequence,
@@ -195,9 +193,8 @@ def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:
 
 def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
     """Checks every merge's score against a contracted trigraph along one
-    random merge path per graph, and greedy's floor against the least red
-    degree of a merged part; returns how many merges were scored and in
-    how many some row is red to both merged parts."""
+    random merge path per graph; returns how many merges were scored and
+    in how many some row is red to both merged parts."""
     scored = both = 0
     for g in graphs:
         n = g.n
@@ -205,14 +202,10 @@ def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
         for j in range(n - 1):
             live = sorted(t.vertices)
             adjs, reds = _trigraph_rows(t, live)
-            want, merged = {}, []
+            want = {}
             for a in range(len(live)):
                 for b in range(a + 1, len(live)):
-                    c = contract(t, live[a], live[b], n + j)
-                    want[live[a], live[b]] = max_red_degree(c)
-                    merged.append(red_degree(c, n + j))
-            for lo in range(-1, 4):
-                assert _floor(adjs, reds, lo) == max(lo, min(merged))
+                    want[live[a], live[b]] = max_red_degree(contract(t, live[a], live[b], n + j))
             for d in range(4):
                 got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
                 assert got == {uv: deg for uv, deg in want.items() if deg <= d}
@@ -307,8 +300,8 @@ class TestAgainstContractOracles:
             assert list(s.pairs()) == naive_greedy_pairs(g), sorted(g.edges)
             widths = [0, *accumulate(width_trace(g, s), max)]
             jumps += any(b - a >= 2 for a, b in zip(widths, widths[1:]))
-        # a step that raises the width by 2 or more jumps greedy's bound
-        # past the width so far
+        # greedy steps its bound up one at a time from the width so far, so
+        # a step that raises the width by 2 or more rescores at every bound
         assert jumps >= 5
 
     def test_twin_merges_match(self):
@@ -370,31 +363,3 @@ class TestGreedy:
         s1, w1 = greedy_sequence(g)
         s2, w2 = greedy_sequence(g)
         assert (s1, w1) == (s2, w2)
-
-    def test_bound_jumps_to_the_floor(self, monkeypatch):
-        """On dense random graphs the first step admits nothing until the
-        bound reaches the smallest symmetric difference (a run of 7–16
-        empty passes when the bound stepped by one); after the jump no
-        step needs a second empty pass, and every step still takes the
-        least merge over all pairs."""
-        passes = []
-
-        def scored(exts, adjs, reds, d):
-            out = _scored(exts, adjs, reds, d)
-            passes.append(bool(out))
-            return out
-
-        monkeypatch.setattr(solver, "_scored", scored)
-        for n, p in ((40, 0.3), (60, 0.3), (60, 0.5)):
-            g = random_graph(random.Random(n), n, p)
-            passes.clear()
-            s, _ = greedy_sequence(g)
-            assert passes[:2] == [False, True]
-            assert all(passes[k] or passes[k + 1] for k in range(len(passes) - 1))
-            # unbounded scoring at every step: the same certificate
-            exts, adjs, reds = list(range(n)), solver._singleton_rows(g), [0] * n
-            for x, uv in enumerate(s.pairs(), n):
-                _, best, i, j, merged_red = min(_scored(exts, adjs, reds, n))
-                assert best == uv
-                adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
-                exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [x]
