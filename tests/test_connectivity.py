@@ -126,7 +126,8 @@ class TestAgainstNaive:
 
 
 class TestMemo:
-    """Each graph's flows are solved once and answered from the memo after."""
+    """Each graph's latest flows are solved once and answered from the
+    memo after, and every answer is certified against the graph."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -244,6 +245,15 @@ class TestMemo:
         with pytest.raises(AssertionError):
             min_vertex_cut(g, A, B, within)
         assert len(solves) == 1
+
+    def test_a_solve_is_certified_too(self, solves, monkeypatch):
+        """A flow whose paths do not match its cut is neither returned nor
+        remembered."""
+        monkeypatch.setattr(connectivity._VertexFlow, "paths", lambda net: [])
+        g = grid_graph(3, 3)
+        with pytest.raises(AssertionError, match="max-flow/min-cut mismatch"):
+            max_disjoint_paths(g, {0}, {8})
+        assert connectivity._FLOWS[id(g)] == {}
 
     def test_one_solve_per_distinct_witness_flow(self, solves, monkeypatch):
         """Every red path at t = 1 and t = 2 over every partition of the
