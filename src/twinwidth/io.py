@@ -6,11 +6,12 @@ decompositions); JSON formats use the certificate id convention directly
 bit-exactly through the matching reader.
 """
 
+import itertools
 import json
 
 from .graphs import Graph, Trigraph
 from .partitions import VertexPartition, partition_from_blocks
-from .sequences import ContractionSequence, SequenceError, sequence_from_pairs
+from .sequences import ContractionSequence, SequenceError
 from .structure import MeshEmbedding
 from .treewidth import TreeDecomposition
 
@@ -120,8 +121,10 @@ def steps_payload(s: ContractionSequence) -> list[dict[str, int]]:
 
 
 def sequence_to_json(s: ContractionSequence) -> str:
-    payload = {"n": s.n, "steps": steps_payload(s)}
-    return json.dumps(payload, sort_keys=True) + "\n"
+    """The JSON certificate, byte for byte what `json.dumps` writes for
+    {"n", "steps": steps_payload(s)} with sorted keys, from one format string."""
+    fmt = '{"n": %d, "steps": [' + ", ".join(['{"u": %d, "v": %d}'] * len(s.steps)) + "]}\n"
+    return fmt % (s.n, *itertools.chain.from_iterable(s.steps))
 
 
 def sequence_from_json(text: str) -> ContractionSequence:
@@ -129,12 +132,26 @@ def sequence_from_json(text: str) -> ContractionSequence:
     if not isinstance(payload, dict) or "n" not in payload or "steps" not in payload:
         raise FormatError(1, "certificate must be an object with 'n' and 'steps'")
     steps = payload["steps"]
-    if not isinstance(steps, list) or any(not isinstance(x, dict) or "u" not in x or "v" not in x for x in steps):
+    if not isinstance(steps, list):
         raise FormatError(1, "'steps' must be a list of {u, v} objects")
+    # one pass: every step's shape is checked before n, and n before the
+    # first non-integer id, which is only remembered until then
+    pairs = []
+    bad = None
+    for x in steps:
+        if not isinstance(x, dict) or "u" not in x or "v" not in x:
+            raise FormatError(1, "'steps' must be a list of {u, v} objects")
+        u, v = x["u"], x["v"]
+        if type(u) is int and type(v) is int:
+            pairs.append((u, v) if u < v else (v, u))
+        elif bad is None:
+            bad = (u, v)
     n = _int(payload["n"], "n")
-    pairs = [(_int(x["u"], "u"), _int(x["v"], "v")) for x in steps]
+    if bad is not None:
+        _int(bad[0], "u")
+        _int(bad[1], "v")
     try:
-        return sequence_from_pairs(n, pairs)
+        return ContractionSequence(n, tuple(pairs))
     except SequenceError as exc:
         raise FormatError(1, str(exc)) from None
 

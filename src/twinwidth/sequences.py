@@ -41,6 +41,8 @@ class ContractionSequence:
         if len(self.steps) != self.n - 1:
             raise SequenceError(f"expected {self.n - 1} steps, got {len(self.steps)}")
         for j, (u, v) in enumerate(self.steps):
+            if type(u) is not int or type(v) is not int:
+                raise SequenceError(f"step {j} has a non-integer id in ({u!r},{v!r})")
             if u == v:
                 raise SequenceError(f"step {j} contracts {u} with itself")
 
@@ -48,8 +50,15 @@ class ContractionSequence:
         return self.steps
 
 
+def _ordered(u, v) -> tuple:
+    try:
+        return (u, v) if u < v else (v, u)
+    except TypeError:  # ids that do not compare; the sequence names the step
+        return (u, v)
+
+
 def sequence_from_pairs(n: int, pairs_list) -> ContractionSequence:
-    return ContractionSequence(n, tuple(pair(u, v) for u, v in pairs_list))
+    return ContractionSequence(n, tuple(_ordered(u, v) for u, v in pairs_list))
 
 
 class ReplayState:
@@ -57,39 +66,48 @@ class ReplayState:
 
     It only replays certificates, for `width_trace`, `verify_width` and
     `apply_prefix`; no search builds on it.  `graphs.contract` is the
-    immutable reference.  Rows are keyed by slot, not by certificate id:
-    the product of a merge takes over the slot of the side with more
-    neighbours, so a merge rewrites only the rows of the other side's
-    neighbours and of the kept side's black neighbours that turn red.
-    `snapshot` maps slots back to ids.  A histogram of the live red
-    degrees, updated by `apply` for the rows it changes, makes
-    `max_red_degree` O(1).
+    immutable reference.  Rows live in two lists indexed by slot (one of
+    0..n-1), not by certificate id: the product of a merge takes over the
+    slot of the side with more neighbours, so a merge rewrites only the
+    rows of the other side's neighbours and of the kept side's black
+    neighbours that turn red, and the freed slot's rows become None.
+    `_slot` maps each certificate id 0..2n-2 to its slot, or to -1 while
+    the id is dead or not yet born; `snapshot` maps slots back to ids.  A
+    histogram of the live red degrees, updated by `apply` for the rows it
+    changes, makes `max_red_degree` O(1).
     """
 
     def __init__(self, g: Graph):
-        self.black: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        n = g.n
+        self.black: list[set[int] | None] = [set() for _ in range(n)]
         for u, v in g.edges:
             self.black[u].add(v)
             self.black[v].add(u)
-        self.red: dict[int, set[int]] = {v: set() for v in range(g.n)}
-        self._slot = {v: v for v in range(g.n)}  # live certificate id -> slot
-        self._id = list(range(g.n))  # slot -> certificate id
-        self._next = g.n  # the next product's certificate id
-        self._rows_of_degree = [g.n] + [0] * g.n  # red degree -> live rows with it
+        self.red: list[set[int] | None] = [set() for _ in range(n)]
+        self._slot = list(range(n)) + [-1] * max(n - 1, 0)  # certificate id -> slot, -1 if not live
+        self._id = list(range(n))  # slot -> certificate id
+        self._next = n  # the next product's certificate id
+        self._rows_of_degree = [n] + [0] * n  # red degree -> live rows with it
         self._max_red = 0
 
     def apply(self, u: int, v: int) -> None:
         """Merge u and v; the product's id is n + the merges applied so far."""
-        if u not in self._slot or v not in self._slot:
+        slot, x = self._slot, self._next
+        # a negative index would wrap around the list, so range-check first
+        if not (0 <= u < x and 0 <= v < x) or slot[u] < 0 or slot[v] < 0:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-        a, b = self._slot.pop(u), self._slot.pop(v)
+        if u == v:
+            raise SequenceError(f"step contracts {u} with itself")
+        a, b = slot[u], slot[v]
         black, red, hist = self.black, self.red, self._rows_of_degree
-        if len(black[a]) + len(red[a]) < len(black[b]) + len(red[b]):
-            a, b = b, a
-        self._slot[self._next] = a
-        self._id[a] = self._next
-        self._next += 1
-        ba, ra, bb, rb = black[a], red[a], black.pop(b), red.pop(b)
+        ba, ra, bb, rb = black[a], red[a], black[b], red[b]
+        if len(ba) + len(ra) < len(bb) + len(rb):
+            a, b, ba, ra, bb, rb = b, a, bb, rb, ba, ra
+        slot[u] = slot[v] = -1
+        slot[x] = a
+        self._id[a] = x
+        self._next = x + 1
+        black[b] = red[b] = None
         hist[len(ra)] -= 1
         hist[len(rb)] -= 1
         ba.discard(b)
@@ -98,28 +116,41 @@ class ReplayState:
         rb.discard(a)
         # only these rows change: b's black neighbours see the product red
         # unless they saw a, b's red neighbours trade b for a, and a's black
-        # neighbours outside b's neighbourhood turn red
+        # neighbours outside b's neighbourhood turn red; a's row takes each
+        # new red neighbour in the same walk and keeps black only the
+        # common black neighbours
         for w in bb:
             black[w].remove(b)
             if w not in ba and w not in ra:
                 row = red[w]
-                hist[len(row)] -= 1
+                k = len(row)
                 row.add(a)
-                hist[len(row)] += 1
+                hist[k] -= 1
+                hist[k + 1] += 1
+                ra.add(w)
         for w in rb:
             row = red[w]
-            hist[len(row)] -= 1
             row.remove(b)
-            black[w].discard(a)
-            row.add(a)
-            hist[len(row)] += 1
-        for w in ba - bb - rb:
+            if a in row:
+                k = len(row)
+                hist[k + 1] -= 1
+                hist[k] += 1
+            else:
+                row.add(a)
+                black[w].discard(a)
+        for w in ba:
+            if w in bb:
+                continue
+            ra.add(w)
+            if w in rb:
+                continue
             black[w].remove(a)
             row = red[w]
-            hist[len(row)] -= 1
+            k = len(row)
             row.add(a)
-            hist[len(row)] += 1
-        ra |= rb | (ba ^ bb)
+            hist[k] -= 1
+            hist[k + 1] += 1
+        ra |= rb
         ba &= bb
         hist[len(ra)] += 1
         # a row gains at most the product; walk down to the first degree held
@@ -133,9 +164,10 @@ class ReplayState:
 
     def snapshot(self) -> Trigraph:
         ids = self._id
-        verts = frozenset(ids[a] for a in self.black)
-        black = frozenset(pair(ids[a], ids[b]) for a in self.black for b in self.black[a] if a < b)
-        red = frozenset(pair(ids[a], ids[b]) for a in self.red for b in self.red[a] if a < b)
+        live = [a for a, row in enumerate(self.black) if row is not None]
+        verts = frozenset(ids[a] for a in live)
+        black = frozenset(pair(ids[a], ids[b]) for a in live for b in self.black[a] if a < b)
+        red = frozenset(pair(ids[a], ids[b]) for a in live for b in self.red[a] if a < b)
         return Trigraph(verts, black, red)
 
 

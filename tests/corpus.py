@@ -10,6 +10,7 @@ from itertools import combinations
 import networkx as nx
 
 from twinwidth.graphs import Graph, graph_from_edges
+from twinwidth.sequences import ContractionSequence, sequence_from_pairs
 from twinwidth.structure import has_ktt
 
 
@@ -170,6 +171,20 @@ def random_partition(rng: random.Random, n: int):
         else:
             blocks[i].add(v)
     return blocks
+
+
+def random_merge_order(rng: random.Random, n: int) -> ContractionSequence:
+    """A sequence merging two uniformly random live vertices per step."""
+    live, pairs = list(range(n)), []
+    for j in range(n - 1):
+        picked = []
+        for _ in range(2):
+            i = rng.randrange(len(live))
+            live[i], live[-1] = live[-1], live[i]
+            picked.append(live.pop())
+        live.append(n + j)
+        pairs.append(picked)
+    return sequence_from_pairs(n, pairs)
 
 
 def red_paths(red_adj) -> list[tuple[int, int, int, int]]:

@@ -14,17 +14,19 @@ re-validates every state it is handed and takes a split's quotient on
 trust, and the naive path layout scans the edges; the naive
 decomposition sequence roots its bag tree in two passes; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
-product; the naive DIMACS reader normalises each edge twice; the
+product; the naive DIMACS reader normalises each edge twice, and the naive
+certificate writer and reader go through `json.dumps` and three passes; the
 separator oracle enumerates vertex subsets exhaustively.
 """
 
+import json
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
 from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
-from twinwidth.io import FormatError
+from twinwidth.io import FormatError, _int, _load_json
 from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
 from twinwidth.sequences import (
     ContractionSequence,
@@ -257,6 +259,29 @@ def naive_read_dimacs(text: str) -> Graph:
     if len(edges) != m:
         raise FormatError(1, f"problem line promises {m} edges, file has {len(edges)}")
     return graph_from_edges(n, edges)
+
+
+def naive_sequence_to_json(s: ContractionSequence) -> str:
+    """The certificate written through `json.dumps` with sorted keys."""
+    payload = {"n": s.n, "steps": [{"u": u, "v": v} for u, v in s.steps]}
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def naive_sequence_from_json(text: str) -> ContractionSequence:
+    """The certificate read in three passes: step shapes, then n, then
+    every id through `_int`."""
+    payload = _load_json(text)
+    if not isinstance(payload, dict) or "n" not in payload or "steps" not in payload:
+        raise FormatError(1, "certificate must be an object with 'n' and 'steps'")
+    steps = payload["steps"]
+    if not isinstance(steps, list) or any(not isinstance(x, dict) or "u" not in x or "v" not in x for x in steps):
+        raise FormatError(1, "'steps' must be a list of {u, v} objects")
+    n = _int(payload["n"], "n")
+    pairs = [(_int(x["u"], "u"), _int(x["v"], "v")) for x in steps]
+    try:
+        return sequence_from_pairs(n, pairs)
+    except SequenceError as exc:
+        raise FormatError(1, str(exc)) from None
 
 
 # ------------------------------------------------ tree-width heuristics

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import random_graph
-from oracles import naive_read_dimacs
+from corpus import random_graph, random_merge_order
+from oracles import naive_read_dimacs, naive_sequence_from_json, naive_sequence_to_json
 from twinwidth.graphs import cycle_graph, path_graph, trigraph_from_graph, contract
 from twinwidth.io import (
     FormatError,
@@ -231,6 +231,29 @@ class TestSequenceJsonTotal:
         assert (s.n, len(s.steps)) == (19_740, 19_739)
         assert verify_width(g, s) == 3
         assert time.perf_counter() - start < 2.0
+
+
+class TestSequenceJsonAgainstNaive:
+    """The format-string writer writes the bytes `json.dumps` writes, and
+    the one-pass reader returns the same sequence, or raises the same
+    FormatError, as the three-pass reader (`oracles`)."""
+
+    def test_writer_bytes(self):
+        rng = random.Random(2000)
+        sequences = [ContractionSequence(1, ())]
+        sequences += [tww3_family_sequence(big_n) for big_n in range(2, 13)]
+        sequences += [random_merge_order(rng, n) for n in (2, 3, 10, 100, 777, 2000)]
+        for s in sequences:
+            assert sequence_to_json(s) == naive_sequence_to_json(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CERTIFICATE_TEXTS)
+    @example('{"n": 2.5, "steps": [{"u": "x", "v": 1}, 7]}')
+    @example('{"n": 2.5, "steps": [{"u": "x", "v": 1}]}')
+    @example('{"n": 3, "steps": [{"u": 0, "v": true}, {"u": 1.0, "v": 2}]}')
+    @example('{"n": 3, "steps": [{"u": 0, "v": 1}, {"u": 3, "v": 2.0}]}')
+    def test_reader_outcome(self, text):
+        assert _outcome(sequence_from_json, text) == _outcome(naive_sequence_from_json, text)
 
 
 class TestPartitionText:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from corpus import random_graph
+from corpus import random_graph, random_merge_order
 from oracles import NaiveReplayState
 from twinwidth.graphs import (
     Graph,
@@ -17,6 +17,7 @@ from twinwidth.graphs import (
     trigraph_from_graph,
 )
 from twinwidth.sequences import (
+    ContractionSequence,
     ReplayState,
     SequenceError,
     Split,
@@ -36,21 +37,7 @@ from twinwidth.structure import tww3_family_sequence, gen_tww3_family
 
 
 def _max_red_row(state: ReplayState) -> int:
-    return max((len(row) for row in state.red.values()), default=0)
-
-
-def _random_merge_order(rng: random.Random, n: int):
-    """A sequence merging two uniformly random live vertices per step."""
-    live, pairs = list(range(n)), []
-    for j in range(n - 1):
-        picked = []
-        for _ in range(2):
-            i = rng.randrange(len(live))
-            live[i], live[-1] = live[-1], live[i]
-            picked.append(live.pop())
-        live.append(n + j)
-        pairs.append(picked)
-    return sequence_from_pairs(n, pairs)
+    return max((len(row) for row in state.red if row is not None), default=0)
 
 
 def _naive_trace(g, steps) -> list[int]:
@@ -110,6 +97,18 @@ class TestVerifyWidth:
         with pytest.raises(SequenceError):
             verify_width(path_graph(3), sequence_from_pairs(4, [(0, 1), (4, 2), (5, 3)]))
 
+    @pytest.mark.parametrize("bad", [0.0, True, "0"], ids=["float", "bool", "str"])
+    def test_non_integer_ids_are_rejected(self, bad):
+        """A float, bool or string id names its step instead of replaying
+        as the vertex it compares equal to."""
+        for pairs, j in (([(bad, 1), (2, 3)], 0), ([(0, 1), (bad, 3)], 1), ([(1, bad), (2, 3)], 0)):
+            with pytest.raises(SequenceError) as exc:
+                sequence_from_pairs(3, pairs)
+            assert str(exc.value).startswith(f"step {j} has a non-integer id in (")
+            assert repr(bad) in str(exc.value)
+        with pytest.raises(SequenceError, match="step 1 has a non-integer id"):
+            ContractionSequence(3, ((0, 1), (bad, 3)))
+
     def test_deterministic_trace(self):
         g = random_graph(random.Random(0), 8)
         s, _ = greedy_sequence(g)
@@ -139,7 +138,7 @@ class TestKernelAgainstContract:
         rng = random.Random(2718)
         for n in range(2, 7):
             g, _ = gen_tww3_family(n)
-            orders = [tww3_family_sequence(n)] + [_random_merge_order(rng, g.n) for _ in range(4)]
+            orders = [tww3_family_sequence(n)] + [random_merge_order(rng, g.n) for _ in range(4)]
             for s in orders:
                 state = ReplayState(g)
                 for u, v in s.steps:
@@ -151,6 +150,15 @@ class TestKernelAgainstContract:
         state.apply(0, 1)
         with pytest.raises(SequenceError):
             state.apply(0, 2)
+
+    def test_apply_rejects_a_self_merge(self):
+        """A live vertex merged with itself is refused before any row
+        changes; the slot lists would otherwise free the slot it keeps."""
+        state = ReplayState(path_graph(4))
+        with pytest.raises(SequenceError, match="step contracts 1 with itself"):
+            state.apply(1, 1)
+        state.apply(1, 2)
+        assert state.snapshot() == contract(trigraph_from_graph(path_graph(4)), 1, 2, 4)
 
 
 class TestKernelAgainstNaive:
@@ -164,7 +172,7 @@ class TestKernelAgainstNaive:
         for _ in range(400):
             n = rng.randint(2, 14)
             g = random_graph(rng, n)
-            _lockstep(g, _random_merge_order(rng, n).steps, seen)
+            _lockstep(g, random_merge_order(rng, n).steps, seen)
         # every link kind under every larger-side outcome
         assert len(seen) == 9 and min(seen.values()) >= 20, seen
 
@@ -172,14 +180,14 @@ class TestKernelAgainstNaive:
         rng = random.Random(2024)
         for n in range(2, 9):
             g, _ = gen_tww3_family(n)
-            for s in [tww3_family_sequence(n)] + [_random_merge_order(rng, g.n) for _ in range(3)]:
+            for s in [tww3_family_sequence(n)] + [random_merge_order(rng, g.n) for _ in range(3)]:
                 _lockstep(g, s.steps)
 
     def test_width_trace_random_orders(self):
         rng = random.Random(1540)
         for n in range(15, 41):
             g, _ = gen_tww3_family(n)
-            s = _random_merge_order(rng, g.n)
+            s = random_merge_order(rng, g.n)
             trace = _naive_trace(g, s.steps)
             assert width_trace(g, s) == trace
             assert verify_width(g, s) == max(trace)
@@ -194,7 +202,7 @@ class TestKernelAgainstNaive:
         for _ in range(200):
             n = rng.randint(3, 12)
             g = random_graph(rng, n)
-            pairs = list(_random_merge_order(rng, n).pairs())
+            pairs = list(random_merge_order(rng, n).pairs())
             j = rng.randrange(1, n - 1)
             dead = sorted({x for p in pairs[:j] for x in p})
             bad = rng.choice([*dead, -1, 3 * n])
@@ -206,6 +214,25 @@ class TestKernelAgainstNaive:
                         state.apply(u, v)
                 messages.append(str(exc.value))
             assert messages[0] == messages[1] == f"step merges dead or unknown vertex in ({pairs[j][0]},{pairs[j][1]})"
+
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    @pytest.mark.parametrize("bad", ["-1", "-n", "n+j", "2n-1"])
+    def test_ids_a_list_index_would_wrap_or_overrun(self, bad, j):
+        """Negative ids would wrap around a list index, the unborn product
+        n+j at step j and the id 2n-1 past the last product would read
+        past the live ids: each is a dead or unknown vertex to both kernels,
+        on either side of the pair."""
+        n = 8
+        g = random_graph(random.Random(31), n)
+        pairs = list(random_merge_order(random.Random(j), n).pairs())
+        x = {"-1": -1, "-n": -n, "n+j": n + j, "2n-1": 2 * n - 1}[bad]
+        for step in ((x, pairs[j][1]), (pairs[j][0], x)):
+            for state in (ReplayState(g), NaiveReplayState(g)):
+                for u, v in pairs[:j]:
+                    state.apply(u, v)
+                with pytest.raises(SequenceError) as exc:
+                    state.apply(*step)
+                assert str(exc.value) == f"step merges dead or unknown vertex in ({step[0]},{step[1]})"
 
 
 class TestApplyPrefix:
@@ -353,7 +380,7 @@ class TestScale:
 
     def test_random_merge_order(self):
         g, _ = gen_tww3_family(140)
-        s = _random_merge_order(random.Random(140), g.n)
+        s = random_merge_order(random.Random(140), g.n)
         start = time.perf_counter()
         trace = width_trace(g, s)
         assert len(trace) == g.n - 1 and trace[-1] == 0
