@@ -11,8 +11,11 @@ snapshot.
 
 The uncontraction view is a chain of partitions from {V} to singletons.
 A chain is checked once, by the split rule of `partitions.refine_part`
-when its `UncontractionSequence` is built, and then read without
-re-checking.
+when its `UncontractionSequence` is built.  Its levels are then read one
+way, through `partitions_at`, which replays the checked splits without
+applying the split rule again; the audit and the mesh search take their
+levels from it.  Each level's `VertexPartition` still checks its own
+cover and disjointness.
 """
 
 from dataclasses import dataclass
@@ -264,19 +267,17 @@ def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
     """
     _check_shape(g, s)
     n = g.n
-    members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
-    live = set(range(n))
+    live: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
+    splits = []
     for j, (u, v) in enumerate(s.steps):
-        if u not in live or v not in live:
+        set_u, set_v = live.pop(u, None), live.pop(v, None)
+        if set_u is None or set_v is None:
             raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-        members[n + j] = members[u] | members[v]
-        live -= {u, v}
-        live.add(n + j)
-    root = n + len(s.steps) - 1 if s.steps else 0
-    splits = tuple(
-        Split(n + j, u, members[u], v, members[v]) for j, (u, v) in reversed(list(enumerate(s.steps)))
-    )
-    return UncontractionSequence(n, root, splits)
+        live[n + j] = set_u | set_v
+        splits.append(Split(n + j, u, set_u, v, set_v))
+    splits.reverse()
+    (root,) = live
+    return UncontractionSequence(n, root, tuple(splits))
 
 
 def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:

@@ -101,12 +101,17 @@ class MeshEmbedding:
         return frozenset(es)
 
     @cached_property
-    def branching(self) -> frozenset[int]:
+    def degree(self) -> dict[int, int]:
+        """Each mesh vertex's degree in the mesh subgraph."""
         deg: dict[int, int] = {}
         for u, v in self.edges:
             deg[u] = deg.get(u, 0) + 1
             deg[v] = deg.get(v, 0) + 1
-        return frozenset(v for v, d in deg.items() if d == 3)
+        return deg
+
+    @cached_property
+    def branching(self) -> frozenset[int]:
+        return frozenset(v for v, d in self.degree.items() if d == 3)
 
 
 def verify_mesh(g: Graph, me: MeshEmbedding) -> tuple[bool, str | None]:
@@ -134,11 +139,7 @@ def verify_mesh(g: Graph, me: MeshEmbedding) -> tuple[bool, str | None]:
     for p in me.cols:
         if p[0] in row_verts or p[-1] in row_verts:
             return False, "a column end lies on a row"
-    deg: dict[int, int] = {}
-    for u, v in me.edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if deg and max(deg.values()) > 3:
+    if me.degree and max(me.degree.values()) > 3:
         return False, "mesh subgraph exceeds degree 3"
     for r in me.rows:
         rset = set(r)
@@ -279,9 +280,6 @@ def has_ktt(g: Graph, t: int):
     """
     if t < 1:
         raise ValueError("t must be positive")
-    if t == 1:
-        e = min(g.edges, default=None)
-        return ((e[0],), (e[1],)) if e else None
     if t == 2:
         for w in range(g.n):
             nbrs = sorted(g.adj[w])

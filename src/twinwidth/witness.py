@@ -97,13 +97,12 @@ def check_witness(
     ids = (x1, x2, x3, x4)
     if len(set(ids)) != 4:
         raise WitnessViolation("parts not distinct")
-    for x in ids:
-        p.members(x)
+    m1, m2, m3, m4 = members = [p.members(x) for x in ids]
     if pt is None:
         pt = quotient(g, p)
-    for x in ids:
-        if p.size(x) < t:
-            raise WitnessViolation("part too small", f"|{x}| = {p.size(x)} < t = {t}")
+    for x, mx in zip(ids, members):
+        if len(mx) < t:
+            raise WitnessViolation("part too small", f"|{x}| = {len(mx)} < t = {t}")
     red = pt.quotient.red
     for a, b, name in ((x1, x2, "x1-x2"), (x2, x3, "x2-x3"), (x3, x4, "x3-x4")):
         if pair(a, b) not in red:
@@ -114,12 +113,11 @@ def check_witness(
     w3 = black_neighborhood_weight(pt, x3)
     # X1 and X4 are disjoint and unjoined, so every X1-X4 path starts in
     # X1, ends in X4 and enters X4 from X2 | X3: that bounds s without a flow
-    bound = min(p.size(x1), p.size(x4), p.size(x2) + p.size(x3))
+    bound = min(len(m1), len(m4), len(m2) + len(m3))
     if bound + w2 + w3 < 4 * t:
         raise WitnessViolation("inequality below 4t", f"s<={bound}, w2={w2}, w3={w3}, 4t={4 * t}")
-    union = p.members(x1) | p.members(x2) | p.members(x3) | p.members(x4)
     # Menger: the most vertex-disjoint X1-X4 paths equals the smallest X1-X4 separator
-    s = len(min_vertex_cut(g, p.members(x1), p.members(x4), within=union))
+    s = len(min_vertex_cut(g, m1, m4, within=m1 | m2 | m3 | m4))
     if s + w2 + w3 < 4 * t:
         raise WitnessViolation("inequality below 4t", f"s={s}, w2={w2}, w3={w3}, 4t={4 * t}")
     return WitnessState(len(p), x1, x2, x3, x4, t, s, w2, w3)
@@ -237,11 +235,10 @@ def audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int)
     if max_red_degree(pt.quotient) > 2:
         return AuditResult("sequence-escaped", m, "quotient red degree above 2")
     for j in range(m, u.n):
-        split = u.splits[j - 1]
-        pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
+        pt_next = quotient(g, partitions_at(u, j + 1))
         if max_red_degree(pt_next.quotient) > 2:
             return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
-        rep = _advance(g, pt.partition, w, split, pt_next)
+        rep = _advance(g, pt.partition, w, u.splits[j - 1], pt_next)
         if rep.verdict == VIOLATED_RED_DEGREE:
             return AuditResult("contradiction-found", j + 1, rep.case)
         w = rep.successor
@@ -311,13 +308,17 @@ def find_mesh_witness(
     """Locate a witness from a heavy part of a mesh inside an uncontraction
     sequence.
 
-    Walks to the least index where every part holds fewer than 4k^2
-    branching vertices, takes the heaviest part Z (needs at least 2k^2),
+    Takes the least index m where every part holds fewer than 4k^2
+    branching vertices: the level right after the last split whose halves
+    together hold at least 4k^2, with Z that split's heavier half (m = 1
+    and Z = V when V itself is lighter).  Z needs at least 2k^2.  Then it
     follows the red chain L2, L1, Z, R1, R2, builds k minimal escape
     subpaths along mesh lines through Z, and reads the witness off the
     outside red neighbour that collects their ends.  Every threshold is
     checked, not assumed; a miss names the stage that starved.
     """
+    if u.n != g.n:
+        raise ValueError(f"chain is over {u.n} vertices, graph has {g.n}")
     if k < 1:
         raise ValueError("k must be positive")
     ok, why = verify_mesh(g, mesh)
@@ -327,30 +328,21 @@ def find_mesh_witness(
     heavy_all = 4 * k * k
     heavy_half = 2 * k * k
 
-    blocks = {u.root_id: frozenset(range(u.n))}
-    weights = {u.root_id: len(blocks[u.root_id] & bv)}
-    heavy = int(weights[u.root_id] >= heavy_all)  # parts holding at least heavy_all
-    m = 1
-    while heavy and m < u.n:
-        sp = u.splits[m - 1]
-        del blocks[sp.parent]
-        heavy -= weights.pop(sp.parent) >= heavy_all
-        for cid, members in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
-            blocks[cid] = members
-            weights[cid] = len(members & bv)
-            heavy += weights[cid] >= heavy_all
-        m += 1
-    p = VertexPartition(u.n, tuple(sorted(blocks.items())))
-    # Z is the heavier child of the split that produced this level
-    if m == 1:
-        z = u.root_id
-    else:
-        sp = u.splits[m - 2]
-        z = min((sp.id_a, sp.id_b), key=lambda pid: (-weights[pid], pid))
-    if weights[z] < heavy_half:
+    # a part's weight is the sum of its halves', so heavy parts are closed
+    # upwards: the sought level follows the last split of a heavy part
+    m, z, weight = 1, u.root_id, len(bv)
+    for i in reversed(range(u.n - 1)):
+        sp = u.splits[i]
+        wa, wb = len(sp.set_a & bv), len(sp.set_b & bv)
+        if wa + wb >= heavy_all:
+            m = i + 2
+            weight, z = min((wa, sp.id_a), (wb, sp.id_b), key=lambda c: (-c[0], c[1]))
+            break
+    if weight < heavy_half:
         return MeshSearchMiss(
-            "no heavy part", f"the last split's heavier side holds {weights[z]} < {heavy_half} branching vertices"
+            "no heavy part", f"the last split's heavier side holds {weight} < {heavy_half} branching vertices"
         )
+    p = partitions_at(u, m)
     zm = p.members(z)
 
     rows_hit = [line for line in mesh.rows if set(line) & bv & zm]

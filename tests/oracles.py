@@ -11,7 +11,9 @@ naive quotient colours each part pair by its own crossing count, and
 the naive flow keeps capacities and flows apart, and the naive witness
 check runs that flow before the inequality; the naive witness automaton
 re-validates every state it is handed and takes a split's quotient on
-trust, and the naive path layout scans the edges; the naive
+trust, and the naive path layout scans the edges; the naive inversion
+walks a certificate twice beside a separate live set, and the naive mesh
+search replays the chain forward with its own part map; the naive
 decomposition sequence roots its bag tree in two passes; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
 product; the naive DIMACS reader normalises each edge twice, and the naive
@@ -33,9 +35,11 @@ from twinwidth.sequences import (
     SequenceError,
     Split,
     UncontractionSequence,
+    _check_shape,
     partitions_at,
     sequence_from_pairs,
 )
+from twinwidth.structure import MeshEmbedding, verify_mesh
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 from twinwidth.witness import (
     MAINTAINED,
@@ -44,6 +48,8 @@ from twinwidth.witness import (
     AuditResult,
     InvariantReport,
     LayoutReport,
+    MeshSearchMiss,
+    MeshWitness,
     WitnessState,
     WitnessViolation,
     black_neighborhood_weight,
@@ -209,6 +215,35 @@ class NaiveReplayState:
         black = frozenset(pair(u, v) for u in self.black for v in self.black[u] if u < v)
         red = frozenset(pair(u, v) for u in self.red for v in self.red[u] if u < v)
         return Trigraph(verts, black, red)
+
+
+# ------------------------------------------------ uncontraction chains
+
+
+def naive_invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
+    """`sequences.invert` as it was before it walked the steps once: a
+    second walk builds the splits, and a live set beside the member map
+    checks liveness.  The partition view of a contraction sequence.
+
+    The k-part partition groups original vertices by the live vertex they
+    contracted into; part ids are the live certificate ids, and split i
+    undoes the (n-i)-th contraction.
+    """
+    _check_shape(g, s)
+    n = g.n
+    members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
+    live = set(range(n))
+    for j, (u, v) in enumerate(s.steps):
+        if u not in live or v not in live:
+            raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+        members[n + j] = members[u] | members[v]
+        live -= {u, v}
+        live.add(n + j)
+    root = n + len(s.steps) - 1 if s.steps else 0
+    splits = tuple(
+        Split(n + j, u, members[u], v, members[v]) for j, (u, v) in reversed(list(enumerate(s.steps)))
+    )
+    return UncontractionSequence(n, root, splits)
 
 
 # ----------------------------------------------------------------- readers
@@ -1125,6 +1160,142 @@ def naive_check_path_layout(g: Graph, p: VertexPartition, x1: int, x2: int, x3: 
             return LayoutReport(False, "a path enters x4 without leaving x3")
     return LayoutReport(True, None)
 
+
+
+# ------------------------------------------------ mesh-driven witness search
+
+
+def naive_find_mesh_witness(
+    g: Graph,
+    u: UncontractionSequence,
+    mesh: MeshEmbedding,
+    k: int,
+    t: int = 1,
+) -> MeshWitness | MeshSearchMiss:
+    """`witness.find_mesh_witness` as it was before it read its level from
+    `partitions_at`: a forward replay of the chain with its own part and
+    weight maps and a count of heavy parts.  Locate a witness from a
+    heavy part of a mesh inside an uncontraction sequence.
+
+    Walks to the least index where every part holds fewer than 4k^2
+    branching vertices, takes the heaviest part Z (needs at least 2k^2),
+    follows the red chain L2, L1, Z, R1, R2, builds k minimal escape
+    subpaths along mesh lines through Z, and reads the witness off the
+    outside red neighbour that collects their ends.  Every threshold is
+    checked, not assumed; a miss names the stage that starved.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    ok, why = verify_mesh(g, mesh)
+    if not ok:
+        raise ValueError(f"invalid mesh embedding: {why}")
+    bv = mesh.branching
+    heavy_all = 4 * k * k
+    heavy_half = 2 * k * k
+
+    blocks = {u.root_id: frozenset(range(u.n))}
+    weights = {u.root_id: len(blocks[u.root_id] & bv)}
+    heavy = int(weights[u.root_id] >= heavy_all)  # parts holding at least heavy_all
+    m = 1
+    while heavy and m < u.n:
+        sp = u.splits[m - 1]
+        del blocks[sp.parent]
+        heavy -= weights.pop(sp.parent) >= heavy_all
+        for cid, members in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
+            blocks[cid] = members
+            weights[cid] = len(members & bv)
+            heavy += weights[cid] >= heavy_all
+        m += 1
+    p = VertexPartition(u.n, tuple(sorted(blocks.items())))
+    # Z is the heavier child of the split that produced this level
+    if m == 1:
+        z = u.root_id
+    else:
+        sp = u.splits[m - 2]
+        z = min((sp.id_a, sp.id_b), key=lambda pid: (-weights[pid], pid))
+    if weights[z] < heavy_half:
+        return MeshSearchMiss(
+            "no heavy part", f"the last split's heavier side holds {weights[z]} < {heavy_half} branching vertices"
+        )
+    zm = p.members(z)
+
+    rows_hit = [line for line in mesh.rows if set(line) & bv & zm]
+    cols_hit = [line for line in mesh.cols if set(line) & bv & zm]
+    lines = rows_hit if len(rows_hit) >= k else cols_hit
+    if len(lines) < k:
+        return MeshSearchMiss("too few rows and columns", f"rows={len(rows_hit)}, cols={len(cols_hit)} < k={k}")
+
+    pt = quotient(g, p)
+    reds = pt.quotient.red_adj
+
+    if len(reds[z]) > 2:
+        return MeshSearchMiss("red degree above 2 on chain", f"part {z} has red degree {len(reds[z])}")
+    sides = []  # (L1, L2) then (R1, R2): the red chain on each side of Z
+    for a1 in [*sorted(reds[z]), None, None][:2]:
+        beyond = sorted(reds[a1] - {z}) if a1 is not None else []
+        if len(beyond) > 1:
+            return MeshSearchMiss("red degree above 2 on chain", f"part {a1} has red degree {len(reds[a1])}")
+        sides.append((a1, beyond[0] if beyond else None))
+    family = {z} | {pid for side in sides for pid in side if pid is not None}
+
+    part_of = p.part_of
+    escapes = []
+    for line in lines:
+        best = None
+        for a, va in enumerate(line):
+            if va not in zm:
+                continue
+            for step in (-1, 1):
+                b = a + step
+                while 0 <= b < len(line):
+                    owner = part_of[line[b]]
+                    if line[b] in zm:
+                        break
+                    if owner not in family:
+                        span = line[min(a, b): max(a, b) + 1]
+                        if step < 0:
+                            span = span[::-1]
+                        cand = (len(span), 0 if step < 0 else 1, min(a, b), list(span))
+                        if best is None or cand[:3] < best[:3]:
+                            best = cand
+                        break
+                    b += step
+        if best is not None:
+            escapes.append(best[3])
+        if len(escapes) == k:
+            break
+    if len(escapes) < k:
+        return MeshSearchMiss("row escape failed", f"only {len(escapes)} of {k} lines escape the chain parts")
+
+    big = [a2 is not None and p.size(a1) >= t and p.size(a2) >= t for a1, a2 in sides]
+    if not any(big):
+        starts = {q[0] for q in escapes}
+        ends = {q[-1] for q in escapes}
+        cut = min_vertex_cut(g, starts, ends)
+        return MeshSearchMiss(
+            "both sides small: separator check",
+            f"{len(escapes)} disjoint paths against a {len(cut)}-vertex separator",
+        )
+
+    candidates = []
+    for (a1, a2), ok in zip(sides, big):
+        if not ok:
+            continue
+        outer = [pid for pid in sorted(reds[a2] - {a1}) if pid not in family]
+        if not outer:
+            continue
+        a3 = outer[0]
+        count = sum(1 for q in escapes if part_of[q[-1]] == a3)
+        candidates.append((count, a3, a2, a1))
+    if not candidates:
+        return MeshSearchMiss("no outside red neighbour", "neither chain end has a red neighbour outside it")
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    count, a3, a2, a1 = candidates[0]
+    if count == 0:
+        return MeshSearchMiss("paths miss the outside red neighbour", f"no escape ends in part {a3}")
+    if pair(a3, z) in pt.quotient.red or pair(a3, z) in pt.quotient.black:
+        return MeshSearchMiss("outside neighbour adjacent to the heavy part", f"parts {a3} and {z} are adjacent")
+    return MeshWitness(m, a3, a2, a1, z, count)
 
 
 # -------------------------------------------------------- separator oracle

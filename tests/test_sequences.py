@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from corpus import random_graph, random_merge_order
-from oracles import NaiveReplayState
+from corpus import random_graph, random_merge_order, random_tree
+from oracles import NaiveReplayState, naive_invert
 from twinwidth.graphs import (
     Graph,
     complete_graph,
@@ -32,8 +32,10 @@ from twinwidth.sequences import (
     width_trace,
 )
 from twinwidth.partitions import quotient
+from twinwidth.pipeline import decomposition_sequence
 from twinwidth.solver import greedy_sequence
-from twinwidth.structure import tww3_family_sequence, gen_tww3_family
+from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence
+from twinwidth.treewidth import decomposition_from_order, min_fill_order
 
 
 def _max_red_row(state: ReplayState) -> int:
@@ -299,6 +301,44 @@ class TestInvert:
     def test_chain_builder_rejects_bad_chain(self):
         with pytest.raises(SequenceError):
             uncontraction_from_chain(3, [[frozenset({0, 1, 2})], [frozenset({0, 1, 2})], [frozenset({0}), frozenset({1}), frozenset({2})]])
+
+
+class TestInvertAgainstNaive:
+    """`invert` walks the certificate once; it builds the same chain, and
+    names a bad id with the same message, as the copy that walked it
+    twice beside a separate live set (`oracles.naive_invert`)."""
+
+    def test_same_chains(self):
+        rng = random.Random(1818)
+        cases = [(random_graph(rng, n, 0.1), random_merge_order(rng, n)) for n in (1, 2, 3, *range(4, 201, 7))]
+        cases += [(gen_tww3_family(big_n)[0], tww3_family_sequence(big_n)) for big_n in range(1, 9)]
+        graphs = [gen_wall(size)[0] for size in (2, 4, 6, 8)]
+        graphs += [random_tree(rng, n) for n in (1, 5, 40, 120)] + [random_graph(rng, n, 0.2) for n in (6, 12, 24)]
+        cases += [(g, decomposition_sequence(g, decomposition_from_order(g, min_fill_order(g)[0]))) for g in graphs]
+        for g, s in cases:
+            assert invert(g, s) == naive_invert(g, s), (g.n, s.steps[:3])
+
+    @pytest.mark.parametrize("kind", ["dead", "unborn", "negative", "past the end"])
+    def test_bad_ids_are_named_alike(self, kind):
+        n = 9
+        g = path_graph(n)
+        steps = random_merge_order(random.Random(9), n).steps
+        named = 0
+        for j in (0, n // 2, n - 2):
+            bad = {"dead": steps[0][0], "unborn": n + j, "negative": -1, "past the end": 2 * n - 1}[kind]
+            if kind == "dead" and j == 0:
+                continue  # nothing has died before the first step
+            for side in (0, 1):
+                step = list(steps[j])
+                step[side] = bad
+                s = ContractionSequence(n, steps[:j] + (tuple(step),) + steps[j + 1:])
+                with pytest.raises(SequenceError) as got:
+                    invert(g, s)
+                with pytest.raises(SequenceError) as want:
+                    naive_invert(g, s)
+                assert str(got.value) == str(want.value) == f"step merges dead or unknown vertex in ({step[0]},{step[1]})"
+                named += 1
+        assert named == (4 if kind == "dead" else 6)
 
 
 class TestChainCheckedWhenBuilt:

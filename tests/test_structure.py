@@ -4,7 +4,7 @@ from oracles import bf_has_k22
 from corpus import random_graph
 import random
 
-from twinwidth.graphs import cycle_graph, path_graph, complete_bipartite
+from twinwidth.graphs import complete_bipartite, cycle_graph, graph_from_edges, path_graph
 from twinwidth.partitions import partition_from_blocks, quotient
 from twinwidth.sequences import verify_width
 from twinwidth.treewidth import decomposition_from_order, min_fill_order, minor_min_width, verify_tree_decomposition
@@ -147,6 +147,19 @@ class TestHasKtt:
     def test_t1_is_any_edge(self):
         assert has_ktt(path_graph(2), 1) == ((0,), (1,))
         assert has_ktt(path_graph(1), 1) is None
+
+    def test_t1_is_the_smallest_edge(self):
+        # the general search takes the least vertex with a neighbour and
+        # then its least neighbour: the smallest edge
+        rng = random.Random(1801)
+        corpus = [graph_from_edges(0, []), path_graph(1), graph_from_edges(6, [])]
+        corpus += [random_graph(rng, rng.randint(1, 15), rng.choice((0.0, 0.05, 0.2, 0.6))) for _ in range(400)]
+        hits = 0
+        for g in corpus:
+            e = min(g.edges, default=None)
+            assert has_ktt(g, 1) == (((e[0],), (e[1],)) if e else None), sorted(g.edges)
+            hits += e is not None
+        assert 0 < hits < len(corpus)
 
     def test_k33_has_k33(self):
         g = complete_bipartite(3, 3)

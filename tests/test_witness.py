@@ -4,12 +4,19 @@ import random
 
 import pytest
 
-from corpus import random_graph, random_ktt_free, random_partition, red_paths
-from oracles import naive_advance_witness, naive_audit_sequence, naive_check_path_layout, naive_check_witness
+from corpus import random_graph, random_ktt_free, random_merge_order, random_partition, red_paths
+from oracles import (
+    naive_advance_witness,
+    naive_audit_sequence,
+    naive_check_path_layout,
+    naive_check_witness,
+    naive_find_mesh_witness,
+)
 from plants import planted_cases, starved_cases
 from twinwidth import witness
-from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges
+from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
 from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition
+from twinwidth.pipeline import decomposition_sequence
 from twinwidth.sequences import (
     SequenceError,
     Split,
@@ -20,7 +27,8 @@ from twinwidth.sequences import (
     verify_width,
 )
 from twinwidth.solver import greedy_sequence, twinwidth_exact
-from twinwidth.structure import gen_tww3_family, tww3_family_sequence
+from twinwidth.structure import gen_tww3_family, gen_wall, subdivide_wall, tww3_family_sequence, wall_to_mesh
+from twinwidth.treewidth import decomposition_from_order, min_fill_order
 from twinwidth.witness import (
     MAINTAINED,
     VIOLATED_RED_DEGREE,
@@ -612,3 +620,105 @@ class TestMeshWitnessSearch:
         broken = type(pl.mesh)(pl.mesh.n, pl.mesh.rows[:-1] + (pl.mesh.rows[-1][:-2],), pl.mesh.cols)
         with pytest.raises(ValueError):
             find_mesh_witness(pl.g, pl.useq, broken, pl.k, pl.t)
+
+    def test_a_chain_over_another_vertex_count_is_refused(self):
+        g, wl = gen_wall(6)
+        p10 = path_graph(10)
+        u = invert(p10, greedy_sequence(p10)[0])
+        with pytest.raises(ValueError, match="^chain is over 10 vertices, graph has 36$"):
+            find_mesh_witness(g, u, wall_to_mesh(g, wl, 2), 2)
+
+
+def _random_chain(rng, n):
+    """n partitions from {V} to singletons, each splitting a random part
+    of at least two vertices into two random nonempty halves."""
+    chain = [[frozenset(range(n))]]
+    while len(chain) < n:
+        level = list(chain[-1])
+        big = level.pop(rng.choice([i for i, b in enumerate(level) if len(b) > 1]))
+        members = list(big)
+        rng.shuffle(members)
+        cut = rng.randrange(1, len(members))
+        chain.append(level + [frozenset(members[:cut]), frozenset(members[cut:])])
+    return chain
+
+
+def _peeling_chain(n, order):
+    """n partitions that peel `order`'s vertices off one by one."""
+    return [[frozenset([v]) for v in order[:i]] + [frozenset(order[i:])] for i in range(n)]
+
+
+class TestMeshSearchAgainstNaive:
+    """The level and heavy part read off the splits from the end give the
+    same result as the forward replay with its own part and weight maps
+    (`oracles.naive_find_mesh_witness`)."""
+
+    def test_walls_and_chains(self):
+        rng = random.Random(1820)
+        outcomes = collections.Counter()
+        for side in (6, 8, 10, 12):
+            for times in (0, 1, 2):
+                g, wl = gen_wall(side)
+                if times:
+                    g, wl = subdivide_wall(g, wl, times)
+                td = decomposition_from_order(g, min_fill_order(g)[0])
+                chains = (
+                    invert(g, decomposition_sequence(g, td)),
+                    invert(g, random_merge_order(rng, g.n)),
+                    uncontraction_from_chain(g.n, _random_chain(rng, g.n)),
+                )
+                for big_n in range(2, min(5, (side - 2) // 2) + 1):
+                    mesh = wall_to_mesh(g, wl, big_n)
+                    for u in chains:
+                        for k in (1, 2):
+                            for t in (1, 2):
+                                r = find_mesh_witness(g, u, mesh, k, t)
+                                assert r == naive_find_mesh_witness(g, u, mesh, k, t), (side, times, big_n, k, t)
+                                outcomes[r.stage if isinstance(r, MeshSearchMiss) else "witness"] += 1
+        # walls under these chains miss early: at the level, or at the red chain
+        assert len(outcomes) >= 2, outcomes
+
+    def test_plants(self):
+        # the plants reach the later stages and find witnesses
+        outcomes = collections.Counter()
+        for pl in planted_cases() + starved_cases():
+            r = find_mesh_witness(pl.g, pl.useq, pl.mesh, pl.k, pl.t)
+            assert r == naive_find_mesh_witness(pl.g, pl.useq, pl.mesh, pl.k, pl.t), pl.name
+            outcomes[r.stage if isinstance(r, MeshSearchMiss) else "witness"] += 1
+        assert outcomes["witness"] >= 40 and len(outcomes) >= 5, outcomes
+
+    @staticmethod
+    def _level_read(monkeypatch):
+        levels = []
+        read = witness.partitions_at
+        monkeypatch.setattr(witness, "partitions_at", lambda u, i: levels.append(i) or read(u, i))
+        return levels
+
+    def test_a_light_v_is_the_heavy_part(self, monkeypatch):
+        # the 2 x 2 mesh has 8 branching vertices: below 4k^2 = 16 for
+        # k = 2, so m = 1 and Z = V, which meets 2k^2 = 8 but has no outside
+        g, wl = gen_wall(6)
+        mesh = wall_to_mesh(g, wl, 2)
+        u = invert(g, random_merge_order(random.Random(6), g.n))
+        levels = self._level_read(monkeypatch)
+        r = find_mesh_witness(g, u, mesh, 2)
+        assert levels == [1]
+        assert r == naive_find_mesh_witness(g, u, mesh, 2)
+        assert r == MeshSearchMiss("row escape failed", "only 0 of 2 lines escape the chain parts")
+        r = find_mesh_witness(g, u, mesh, 3)
+        assert r == naive_find_mesh_witness(g, u, mesh, 3)
+        assert r == MeshSearchMiss("no heavy part", "the last split's heavier side holds 8 < 18 branching vertices")
+
+    def test_the_latest_heavy_split(self, monkeypatch):
+        # the last split's part has two vertices, never 4k^2 >= 4 branching
+        # ones; peeling the branching vertices last makes the fourth-last
+        # split heavy for k = 1, the latest a heavy split can be: m = n - 2
+        g, wl = gen_wall(6)
+        mesh = wall_to_mesh(g, wl, 2)
+        order = sorted(range(g.n), key=lambda v: (v in mesh.branching, v))
+        u = uncontraction_from_chain(g.n, _peeling_chain(g.n, order))
+        levels = self._level_read(monkeypatch)
+        for t in (1, 2):
+            r = find_mesh_witness(g, u, mesh, 1, t)
+            assert r == naive_find_mesh_witness(g, u, mesh, 1, t)
+        assert levels == [g.n - 2, g.n - 2]
