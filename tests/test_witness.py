@@ -675,7 +675,7 @@ class TestMeshSearchAgainstNaive:
                                 r = find_mesh_witness(g, u, mesh, k, t)
                                 assert r == naive_find_mesh_witness(g, u, mesh, k, t), (side, times, big_n, k, t)
                                 outcomes[r.stage if isinstance(r, MeshSearchMiss) else "witness"] += 1
-        # walls under these chains miss early: at the level, or at the red chain
+        # walls under these chains miss early, at the red chain or the row escape
         assert len(outcomes) >= 2, outcomes
 
     def test_plants(self):
@@ -696,7 +696,7 @@ class TestMeshSearchAgainstNaive:
 
     def test_a_light_v_is_the_heavy_part(self, monkeypatch):
         # the 2 x 2 mesh has 8 branching vertices: below 4k^2 = 16 for
-        # k = 2, so m = 1 and Z = V, which meets 2k^2 = 8 but has no outside
+        # k = 2, so m = 1 and Z = V, which meets 2k^2 = 8, but no line leaves V
         g, wl = gen_wall(6)
         mesh = wall_to_mesh(g, wl, 2)
         u = invert(g, random_merge_order(random.Random(6), g.n))
