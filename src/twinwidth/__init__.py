@@ -42,7 +42,9 @@ from .sequences import (
     invert,
     partitions_at,
     sequence_from_pairs,
+    split_at,
     uncontraction_from_chain,
+    uncontraction_from_splits,
     verify_width,
     width_trace,
 )

@@ -9,13 +9,14 @@ from the step's position.  The replay kernel keys its rows by slot (one
 of 0..n-1) and maps slots back to certificate ids only when it takes a
 snapshot.
 
-The uncontraction view is a chain of partitions from {V} to singletons.
-A chain is checked once, by the split rule of `partitions.refine_part`
-when its `UncontractionSequence` is built.  Its levels are then read one
-way, through `partitions_at`, which replays the checked splits without
-applying the split rule again; the audit and the mesh search take their
-levels from it.  Each level's `VertexPartition` still checks its own
-cover and disjointness.
+The uncontraction view is a chain of partitions from {V} to singletons,
+stored as its merge tree in the same id convention, with the part id
+each node carries.  `invert` takes the certificate's steps as the
+merges; an explicit chain is checked once, by the split rule of
+`partitions.refine_part`, in `uncontraction_from_splits`.  No member set
+is stored: `partitions_at` builds a level in O(n), and `split_at` one
+split's halves by walking its two subtrees.  Each level's
+`VertexPartition` still checks its own cover and disjointness.
 """
 
 from dataclasses import dataclass
@@ -223,39 +224,71 @@ class Split:
 
 @dataclass(frozen=True)
 class UncontractionSequence:
-    """Chain of partitions from {V} to singletons, splitting one part per step.
+    """Chain of partitions from {V} to singletons, as its merge tree.
 
-    Checked once, here: from {root_id: V}, each of the n-1 splits obeys
-    `partitions.refine_part`, or a SequenceError names the first that
-    does not."""
+    Leaves 0..n-1 are the vertices and node n+j is the product of
+    `merges[j]`, so split i undoes merge n-2-i; `part_ids[x]` is the id
+    node x's part carries while live.  Each merge must join two live
+    nodes, or a SequenceError names the first that does not; `invert` and
+    `uncontraction_from_splits` vouch for the part ids."""
 
     n: int
-    root_id: int
-    splits: tuple[Split, ...]
+    merges: tuple[tuple[int, int], ...]
+    part_ids: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.splits) != self.n - 1:
-            raise SequenceError(f"expected {self.n - 1} splits, got {len(self.splits)}")
-        parts = {self.root_id: frozenset(range(self.n))}
-        for i, sp in enumerate(self.splits):
-            try:
-                refine_part(parts, sp.parent, (sp.id_a, sp.set_a), (sp.id_b, sp.set_b))
-            except ValueError as exc:
-                raise SequenceError(f"split {i}: {exc}") from None
+        n = self.n
+        if len(self.merges) != n - 1 or len(self.part_ids) != 2 * n - 1:
+            raise SequenceError(f"expected {n - 1} merges and {2 * n - 1} part ids")
+        dead = bytearray(2 * n - 1)
+        x = n  # the next product's node
+        for u, v in self.merges:
+            # a negative index would wrap around, so range-check first
+            if not (0 <= u < x and 0 <= v < x) or u == v or dead[u] or dead[v]:
+                raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+            dead[u] = dead[v] = 1
+            x += 1
+
+    @property
+    def root_id(self) -> int:
+        return self.part_ids[-1]
 
 
 def partitions_at(u: UncontractionSequence, i: int) -> VertexPartition:
     """The i-th partition of the chain; i=1 is {V}, i=n is singletons.
-    The chain was checked when it was built, so its first i-1 splits
-    replay as plain dict updates."""
-    if not (1 <= i <= u.n):
-        raise SequenceError(f"partition index {i} out of range 1..{u.n}")
-    parts: dict[int, frozenset[int]] = {u.root_id: frozenset(range(u.n))}
-    for sp in u.splits[: i - 1]:
-        del parts[sp.parent]
-        parts[sp.id_a] = sp.set_a
-        parts[sp.id_b] = sp.set_b
-    return VertexPartition(u.n, tuple(sorted(parts.items())))
+    One pass over the first n-i merges, from the last, labels each node
+    with its live ancestor, and the vertices are grouped by theirs."""
+    n = u.n
+    if not (1 <= i <= n):
+        raise SequenceError(f"partition index {i} out of range 1..{n}")
+    top = 2 * n - i  # the nodes born by level i
+    anc = list(range(top))
+    merges = u.merges
+    for x in range(top - 1, n - 1, -1):
+        a, b = merges[x - n]
+        anc[a] = anc[b] = anc[x]
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(anc[v], []).append(v)
+    ids = u.part_ids
+    return VertexPartition(n, tuple(sorted((ids[x], frozenset(vs)) for x, vs in groups.items())))
+
+
+def split_at(u: UncontractionSequence, i: int) -> Split:
+    """Split i of the chain (0-based), which undoes merge n-2-i; each half
+    is the leaves of one subtree, found by one walk of it."""
+    n = u.n
+    if not (0 <= i < n - 1):
+        raise SequenceError(f"split index {i} out of range 0..{n - 2}")
+    x = 2 * n - 2 - i
+    ids, halves = u.part_ids, []
+    for child in u.merges[x - n]:
+        nodes = [child]
+        for y in nodes:  # the list grows by each inner node's children
+            if y >= n:
+                nodes += u.merges[y - n]
+        halves += (ids[child], frozenset(y for y in nodes if y < n))
+    return Split(ids[x], *halves)
 
 
 def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
@@ -263,21 +296,35 @@ def invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
 
     The k-part partition groups original vertices by the live vertex they
     contracted into; part ids are the live certificate ids, and split i
-    undoes the (n-i)-th contraction.
+    undoes the (n-i)-th contraction.  The steps are the merge tree.
     """
     _check_shape(g, s)
-    n = g.n
-    live: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
-    splits = []
-    for j, (u, v) in enumerate(s.steps):
-        set_u, set_v = live.pop(u, None), live.pop(v, None)
-        if set_u is None or set_v is None:
-            raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-        live[n + j] = set_u | set_v
-        splits.append(Split(n + j, u, set_u, v, set_v))
-    splits.reverse()
-    (root,) = live
-    return UncontractionSequence(n, root, tuple(splits))
+    return UncontractionSequence(g.n, s.steps, tuple(range(2 * g.n - 1)))
+
+
+def uncontraction_from_splits(n: int, root_id: int, splits) -> UncontractionSequence:
+    """Build an uncontraction sequence from explicit splits, first to last.
+
+    Checked once, here: from {root_id: V}, each of the n-1 splits obeys
+    `partitions.refine_part`, or a SequenceError names the first that
+    does not.  Undone from the last, the splits give the merge tree."""
+    splits = tuple(splits)
+    if len(splits) != n - 1:
+        raise SequenceError(f"expected {n - 1} splits, got {len(splits)}")
+    parts = {root_id: frozenset(range(n))}
+    for i, sp in enumerate(splits):
+        try:
+            refine_part(parts, sp.parent, (sp.id_a, sp.set_a), (sp.id_b, sp.set_b))
+        except ValueError as exc:
+            raise SequenceError(f"split {i}: {exc}") from None
+    node = {pid: v for pid, (v,) in parts.items()}  # the last level is n singletons
+    part_ids = sorted(node, key=node.get)  # leaf v carries its singleton's id
+    merges = []
+    for x, sp in enumerate(reversed(splits), n):
+        merges.append((node.pop(sp.id_a), node.pop(sp.id_b)))
+        node[sp.parent] = x
+        part_ids.append(sp.parent)
+    return UncontractionSequence(n, tuple(merges), tuple(part_ids))
 
 
 def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:
@@ -286,7 +333,8 @@ def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:
     `chain` lists n partitions as iterables of vertex sets, starting at
     {V} and ending at singletons, each refining the previous by splitting
     exactly one part.  Part ids are each part's minimum vertex.  Each split
-    is derived from two adjacent levels; the constructor checks the rest.
+    is derived from two adjacent levels; `uncontraction_from_splits`
+    checks the rest.
     """
     levels = [{frozenset(b) for b in level} for level in chain]
     if levels[:1] != [{frozenset(range(n))}]:
@@ -299,7 +347,7 @@ def uncontraction_from_chain(n: int, chain) -> UncontractionSequence:
         (parent,) = gone
         a, b = sorted(new, key=min)
         splits.append(Split(min(parent), min(a), a, min(b), b))
-    return UncontractionSequence(n, 0, tuple(splits))
+    return uncontraction_from_splits(n, 0, splits)
 
 
 def sequence_relabel(s: ContractionSequence, perm) -> ContractionSequence:

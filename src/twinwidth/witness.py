@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .connectivity import max_disjoint_paths, min_vertex_cut
 from .graphs import Graph, max_red_degree, pair
 from .partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
-from .sequences import Split, UncontractionSequence, partitions_at
+from .sequences import Split, UncontractionSequence, partitions_at, split_at
 from .structure import MeshEmbedding, verify_mesh
 
 MAINTAINED = "maintained"
@@ -238,7 +238,7 @@ def audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int)
         pt_next = quotient(g, partitions_at(u, j + 1))
         if max_red_degree(pt_next.quotient) > 2:
             return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
-        rep = _advance(g, pt.partition, w, u.splits[j - 1], pt_next)
+        rep = _advance(g, pt.partition, w, split_at(u, j - 1), pt_next)
         if rep.verdict == VIOLATED_RED_DEGREE:
             return AuditResult("contradiction-found", j + 1, rep.case)
         w = rep.successor
@@ -329,15 +329,18 @@ def find_mesh_witness(
     heavy_half = 2 * k * k
 
     # a part's weight is the sum of its halves', so heavy parts are closed
-    # upwards: the sought level follows the last split of a heavy part
+    # upwards: the sought level follows the last split of a heavy part,
+    # which undoes the first merge whose product is heavy
+    n, ids = u.n, u.part_ids
     m, z, weight = 1, u.root_id, len(bv)
-    for i in reversed(range(u.n - 1)):
-        sp = u.splits[i]
-        wa, wb = len(sp.set_a & bv), len(sp.set_b & bv)
+    weights = [1 if v in bv else 0 for v in range(n)]
+    for x, (a, b) in enumerate(u.merges, n):
+        wa, wb = weights[a], weights[b]
         if wa + wb >= heavy_all:
-            m = i + 2
-            weight, z = min((wa, sp.id_a), (wb, sp.id_b), key=lambda c: (-c[0], c[1]))
+            m = 2 * n - x
+            weight, z = min((wa, ids[a]), (wb, ids[b]), key=lambda c: (-c[0], c[1]))
             break
+        weights.append(wa + wb)
     if weight < heavy_half:
         return MeshSearchMiss(
             "no heavy part", f"the last split's heavier side holds {weight} < {heavy_half} branching vertices"

@@ -12,7 +12,8 @@ the naive flow keeps capacities and flows apart, and the naive witness
 check runs that flow before the inequality; the naive witness automaton
 re-validates every state it is handed and takes a split's quotient on
 trust, and the naive path layout scans the edges; the naive inversion
-walks a certificate twice beside a separate live set, and the naive mesh
+walks a certificate twice beside a separate live set and builds every
+split's member sets, and the naive mesh
 search replays the chain forward with its own part map; the naive
 decomposition sequence roots its bag tree in two passes; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
@@ -38,6 +39,8 @@ from twinwidth.sequences import (
     _check_shape,
     partitions_at,
     sequence_from_pairs,
+    split_at,
+    uncontraction_from_splits,
 )
 from twinwidth.structure import MeshEmbedding, verify_mesh
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
@@ -221,14 +224,22 @@ class NaiveReplayState:
 
 
 def naive_invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
-    """`sequences.invert` as it was before it walked the steps once: a
-    second walk builds the splits, and a live set beside the member map
-    checks liveness.  The partition view of a contraction sequence.
+    """`sequences.invert` as it was before it walked the steps once and
+    kept the merge tree: `naive_splits` builds every split's member sets,
+    and `uncontraction_from_splits` checks each split by the split rule.
+    The partition view of a contraction sequence.
 
     The k-part partition groups original vertices by the live vertex they
     contracted into; part ids are the live certificate ids, and split i
     undoes the (n-i)-th contraction.
     """
+    return uncontraction_from_splits(g.n, *naive_splits(g, s))
+
+
+def naive_splits(g: Graph, s: ContractionSequence) -> tuple[int, tuple[Split, ...]]:
+    """The root id and the explicit splits of `naive_invert`'s chain: one
+    walk builds every product's member set, with a live set beside the
+    member map to check liveness, and a second walk builds the splits."""
     _check_shape(g, s)
     n = g.n
     members: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in range(n)}
@@ -243,7 +254,20 @@ def naive_invert(g: Graph, s: ContractionSequence) -> UncontractionSequence:
     splits = tuple(
         Split(n + j, u, members[u], v, members[v]) for j, (u, v) in reversed(list(enumerate(s.steps)))
     )
-    return UncontractionSequence(n, root, splits)
+    return root, splits
+
+
+def naive_levels(n: int, root_id: int, splits) -> list[dict[int, frozenset[int]]]:
+    """Every level of an explicit chain as an id -> members map, replayed
+    from {root_id: V} by one dict update per split; level i is entry i-1."""
+    parts = {root_id: frozenset(range(n))}
+    levels = [dict(parts)]
+    for sp in splits:
+        del parts[sp.parent]
+        parts[sp.id_a] = frozenset(sp.set_a)
+        parts[sp.id_b] = frozenset(sp.set_b)
+        levels.append(dict(parts))
+    return levels
 
 
 # ----------------------------------------------------------------- readers
@@ -1118,7 +1142,7 @@ def naive_audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t
     if max_red_degree(pt.quotient) > 2:
         return AuditResult("sequence-escaped", m, "quotient red degree above 2")
     for j in range(m, u.n):
-        split = u.splits[j - 1]
+        split = split_at(u, j - 1)
         pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
         if max_red_degree(pt_next.quotient) > 2:
             return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
@@ -1198,7 +1222,7 @@ def naive_find_mesh_witness(
     heavy = int(weights[u.root_id] >= heavy_all)  # parts holding at least heavy_all
     m = 1
     while heavy and m < u.n:
-        sp = u.splits[m - 1]
+        sp = split_at(u, m - 1)
         del blocks[sp.parent]
         heavy -= weights.pop(sp.parent) >= heavy_all
         for cid, members in ((sp.id_a, sp.set_a), (sp.id_b, sp.set_b)):
@@ -1211,7 +1235,7 @@ def naive_find_mesh_witness(
     if m == 1:
         z = u.root_id
     else:
-        sp = u.splits[m - 2]
+        sp = split_at(u, m - 2)
         z = min((sp.id_a, sp.id_b), key=lambda pid: (-weights[pid], pid))
     if weights[z] < heavy_half:
         return MeshSearchMiss(

@@ -26,7 +26,7 @@ from twinwidth.graphs import (
 )
 from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition, split_part
 from twinwidth.pipeline import decomposition_sequence
-from twinwidth.sequences import invert, partitions_at
+from twinwidth.sequences import invert, partitions_at, split_at
 from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence
 from twinwidth.treewidth import decomposition_from_order, min_fill_order
 
@@ -219,7 +219,8 @@ class TestQuotientAgainstNaive:
         for g, u in cases:
             pt = quotient(g, partitions_at(u, 1))
             assert pt == naive_quotient(g, pt.partition)
-            for sp in u.splits:
+            for i in range(u.n - 1):
+                sp = split_at(u, i)
                 halves = (sp.id_a, sp.set_a), (sp.id_b, sp.set_b)
                 nxt = split_part(g, pt, sp.parent, *halves)
                 assert nxt == naive_quotient(g, nxt.partition)

@@ -1,11 +1,12 @@
 import collections
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from corpus import random_graph, random_merge_order, random_tree
-from oracles import NaiveReplayState, naive_invert
+from oracles import NaiveReplayState, naive_find_mesh_witness, naive_invert, naive_levels, naive_splits
 from twinwidth.graphs import (
     Graph,
     complete_graph,
@@ -21,21 +22,23 @@ from twinwidth.sequences import (
     ReplayState,
     SequenceError,
     Split,
-    UncontractionSequence,
     apply_prefix,
     invert,
     partitions_at,
     sequence_from_pairs,
     sequence_relabel,
+    split_at,
     uncontraction_from_chain,
+    uncontraction_from_splits,
     verify_width,
     width_trace,
 )
 from twinwidth.partitions import quotient
 from twinwidth.pipeline import decomposition_sequence
 from twinwidth.solver import greedy_sequence
-from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence
+from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
 from twinwidth.treewidth import decomposition_from_order, min_fill_order
+from twinwidth.witness import MeshSearchMiss, find_mesh_witness
 
 
 def _max_red_row(state: ReplayState) -> int:
@@ -316,7 +319,34 @@ class TestInvertAgainstNaive:
         graphs += [random_tree(rng, n) for n in (1, 5, 40, 120)] + [random_graph(rng, n, 0.2) for n in (6, 12, 24)]
         cases += [(g, decomposition_sequence(g, decomposition_from_order(g, min_fill_order(g)[0]))) for g in graphs]
         for g, s in cases:
-            assert invert(g, s) == naive_invert(g, s), (g.n, s.steps[:3])
+            u = invert(g, s)
+            assert u == naive_invert(g, s), (g.n, s.steps[:3])
+            _assert_reads_match(u, *naive_splits(g, s))
+
+    def test_chains_with_chosen_ids(self):
+        """Hand-built splits whose halves keep the parent's id or take one an
+        earlier split freed, and the same chains as explicit levels."""
+        rng = random.Random(1919)
+        for n in (1, 2, 3, 4, 7, 12, 30, 61):
+            for _ in range(4):
+                root, splits = _random_splits(rng, n)
+                _assert_reads_match(uncontraction_from_splits(n, root, splits), root, splits)
+                # the same chain as explicit levels names each part by its minimum
+                chain = [level.values() for level in naive_levels(n, root, splits)]
+                by_min = []
+                for sp in splits:
+                    a, b = sorted((sp.set_a, sp.set_b), key=min)
+                    by_min.append(Split(min(a | b), min(a), a, min(b), b))
+                _assert_reads_match(uncontraction_from_chain(n, chain), 0, by_min)
+
+    def test_reads_out_of_range(self):
+        u = invert(path_graph(4), sequence_from_pairs(4, [(0, 1), (4, 2), (5, 3)]))
+        for i in (0, 5):
+            with pytest.raises(SequenceError, match=f"^partition index {i} out of range 1..4$"):
+                partitions_at(u, i)
+        for i in (-1, 3):
+            with pytest.raises(SequenceError, match=f"^split index {i} out of range 0..2$"):
+                split_at(u, i)
 
     @pytest.mark.parametrize("kind", ["dead", "unborn", "negative", "past the end"])
     def test_bad_ids_are_named_alike(self, kind):
@@ -339,6 +369,35 @@ class TestInvertAgainstNaive:
                 assert str(got.value) == str(want.value) == f"step merges dead or unknown vertex in ({step[0]},{step[1]})"
                 named += 1
         assert named == (4 if kind == "dead" else 6)
+
+
+def _assert_reads_match(u, root, splits):
+    """Every level and every split read off the merge tree equal the ones
+    replayed from the explicit splits by `oracles.naive_levels`."""
+    levels = naive_levels(u.n, root, splits)
+    assert u.root_id == root
+    for i, level in enumerate(levels, 1):
+        assert partitions_at(u, i).by_id == level, (u.n, i)
+    for i, sp in enumerate(splits):
+        assert split_at(u, i) == sp, (u.n, i)
+
+
+def _random_splits(rng, n):
+    """A random chain over 0..n-1 as a root id and explicit splits; each
+    half takes an id no live part holds: the parent's, one freed by an
+    earlier split, or a fresh one."""
+    root = rng.randrange(3 * n)
+    parts = {root: frozenset(range(n))}
+    splits = []
+    while len(parts) < n:
+        parent = rng.choice(sorted(pid for pid, members in parts.items() if len(members) > 1))
+        whole = sorted(parts.pop(parent))
+        rng.shuffle(whole)
+        cut = rng.randint(1, len(whole) - 1)
+        id_a, id_b = rng.sample([x for x in range(3 * n) if x not in parts], 2)
+        parts[id_a], parts[id_b] = frozenset(whole[:cut]), frozenset(whole[cut:])
+        splits.append(Split(parent, id_a, parts[id_a], id_b, parts[id_b]))
+    return root, tuple(splits)
 
 
 class TestChainCheckedWhenBuilt:
@@ -368,25 +427,25 @@ class TestChainCheckedWhenBuilt:
     )
     def test_hand_built_chains(self, splits, message):
         with pytest.raises(SequenceError) as exc:
-            UncontractionSequence(3, 0, splits)
+            uncontraction_from_splits(3, 0, splits)
         assert str(exc.value) == message
 
     def test_wrong_split_count(self):
         with pytest.raises(SequenceError, match="expected 2 splits, got 1"):
-            UncontractionSequence(3, 0, (Split(0, 0, frozenset({0}), 1, frozenset({1, 2})),))
+            uncontraction_from_splits(3, 0, (Split(0, 0, frozenset({0}), 1, frozenset({1, 2})),))
         with pytest.raises(SequenceError, match="expected 2 splits, got 0"):
             uncontraction_from_chain(3, [[{0, 1, 2}]])
 
     def test_a_valid_chain_reuses_the_parent_id(self):
-        u = UncontractionSequence(3, 0, (Split(0, 0, frozenset({0, 1}), 2, frozenset({2})),
-                                         Split(0, 0, frozenset({0}), 1, frozenset({1}))))
+        u = uncontraction_from_splits(3, 0, (Split(0, 0, frozenset({0, 1}), 2, frozenset({2})),
+                                             Split(0, 0, frozenset({0}), 1, frozenset({1}))))
         assert partitions_at(u, 2).by_id == {0: frozenset({0, 1}), 2: frozenset({2})}
         assert partitions_at(u, 3).by_id == {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})}
 
     def test_every_prefix_of_a_long_chain(self):
         """A 1,000-vertex path certificate whose products swallow one vertex
-        each: every `partitions_at(u, i)` replays its prefix without checking
-        it again (9.6 s when each call re-checked every earlier split)."""
+        each: every `partitions_at(u, i)` is one O(n) pass over the merge
+        tree (9.6 s when each call re-checked every earlier split)."""
         n = 1000
         s = sequence_from_pairs(n, [(0, 1)] + [(n + j, j + 2) for j in range(n - 2)])
         start = time.perf_counter()
@@ -394,6 +453,54 @@ class TestChainCheckedWhenBuilt:
         sizes = [len(partitions_at(u, i)) for i in range(1, n + 1)]
         assert time.perf_counter() - start < 2.0
         assert sizes == list(range(1, n + 1))
+
+
+class TestMergeTreeScale:
+    """A 2,000-vertex one-accumulator chain holds no member sets: `invert`
+    and each read stay linear in n (at 84 MB traced when every split
+    carried its halves' member sets)."""
+
+    @staticmethod
+    def _accumulator(n):
+        return sequence_from_pairs(n, [(0, 1)] + [(n + j, j + 2) for j in range(n - 2)])
+
+    @staticmethod
+    def _peak(f):
+        """f's result and the peak of the memory traced while it ran."""
+        tracemalloc.start()
+        try:
+            return f(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_invert_and_a_middle_level(self):
+        n = 2000
+        g, s = path_graph(n), self._accumulator(n)
+
+        def read():
+            u = invert(g, s)
+            return u, partitions_at(u, n // 2)
+
+        (u, level), peak = self._peak(read)
+        assert peak < 8 * 2**20, peak
+        # level i holds the product of the first n - i merges and n - i
+        # untouched vertices
+        want = {2 * n - n // 2 - 1: frozenset(range(n - n // 2 + 1))}
+        want.update((v, frozenset((v,))) for v in range(n - n // 2 + 1, n))
+        assert level.by_id == want
+        assert split_at(u, n - 2) == Split(n, 0, frozenset({0}), 1, frozenset({1}))
+        small = path_graph(60)
+        _assert_reads_match(invert(small, self._accumulator(60)), *naive_splits(small, self._accumulator(60)))
+
+    def test_mesh_weight_scan(self):
+        g, wl = gen_wall(45)
+        mesh, s = wall_to_mesh(g, wl, 4), self._accumulator(g.n)
+        r, peak = self._peak(lambda: find_mesh_witness(g, invert(g, s), mesh, 2))
+        assert peak < 8 * 2**20, peak
+        assert isinstance(r, MeshSearchMiss) and r.stage == "red degree above 2 on chain"
+        g, wl = gen_wall(12)
+        mesh, s = wall_to_mesh(g, wl, 4), self._accumulator(g.n)
+        assert find_mesh_witness(g, invert(g, s), mesh, 2) == naive_find_mesh_witness(g, naive_invert(g, s), mesh, 2)
 
 
 class TestRelabeling:

@@ -23,7 +23,9 @@ from twinwidth.sequences import (
     invert,
     partitions_at,
     sequence_from_pairs,
+    split_at,
     uncontraction_from_chain,
+    uncontraction_from_splits,
     verify_width,
 )
 from twinwidth.solver import greedy_sequence, twinwidth_exact
@@ -595,9 +597,10 @@ class TestMeshWitnessSearch:
         # the chain is checked when it is built, so the bad chain never
         # reaches the search
         pl = planted_cases()[0]
-        bad = dataclasses.replace(pl.useq.splits[0], parent=-1)
+        splits = [split_at(pl.useq, i) for i in range(pl.useq.n - 1)]
+        bad = dataclasses.replace(splits[0], parent=-1)
         with pytest.raises(SequenceError):
-            useq = dataclasses.replace(pl.useq, splits=(bad,) + pl.useq.splits[1:])
+            useq = uncontraction_from_splits(pl.useq.n, pl.useq.root_id, [bad] + splits[1:])
             find_mesh_witness(pl.g, useq, pl.mesh, pl.k, pl.t)
 
     def test_starved_controls_miss_with_named_stages(self):
