@@ -11,7 +11,6 @@ from .connectivity import max_disjoint_paths, min_vertex_cut
 from .graphs import (
     Graph,
     Trigraph,
-    are_twins,
     complete_bipartite,
     complete_graph,
     contract,
@@ -29,7 +28,6 @@ from .partitions import (
     VertexPartition,
     partition_from_blocks,
     quotient,
-    singleton_partition,
     split_part,
 )
 from .pipeline import PipelineResult, WidthBoundMissed, decomposition_sequence, pipeline_certify
@@ -75,7 +73,6 @@ from .treewidth import (
     decomposition_from_order,
     min_fill_order,
     minor_min_width,
-    treewidth_decide,
     treewidth_exact,
     treewidth_order,
     verify_tree_decomposition,

@@ -115,15 +115,6 @@ def relabel(g: Graph, perm) -> Graph:
     return graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
-def are_twins(g: Graph, x: int, y: int) -> bool:
-    """True iff x and y have the same neighbours outside {x, y}."""
-    g._check(x)
-    g._check(y)
-    if x == y:
-        raise ValueError("twins are a pair of distinct vertices")
-    return g.neighbors(x) - {y} == g.neighbors(y) - {x}
-
-
 @dataclass(frozen=True)
 class Trigraph:
     """Graph with black/red edge coloring over an explicit vertex id set.
@@ -157,9 +148,6 @@ class Trigraph:
     @cached_property
     def red_adj(self) -> dict[int, frozenset[int]]:
         return _adj_map(self.vertices, self.red)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.black_adj[v] | self.red_adj[v]
 
     def _check(self, v: int) -> None:
         if v not in self.vertices:
@@ -205,20 +193,23 @@ def contract(t: Trigraph, x1: int, x2: int, new_id: int | None = None) -> Trigra
     if x0 != x1 and x0 != x2 and x0 in t.vertices:
         raise ValueError(f"product id {x0} is already a live vertex")
     drop = {x1, x2}
-    n1 = t.neighbors(x1) - drop
-    n2 = t.neighbors(x2) - drop
-    reds = ((t.red_adj[x1] | t.red_adj[x2]) - drop) | (n1 ^ n2)
-    blacks = (n1 | n2) - reds
-    black = {e for e in t.black if x1 not in e and x2 not in e}
-    red = {e for e in t.red if x1 not in e and x2 not in e}
-    black.update(pair(x0, w) for w in blacks)
-    red.update(pair(x0, w) for w in reds)
+    # one pass over the edges keeps those away from x1 and x2 and collects
+    # each side's black (index 0) and red (index 1) neighbours
+    around = {x1: (set(), set()), x2: (set(), set())}
+    black, red = kept = ([], [])
+    for colour, edges in enumerate((t.black, t.red)):
+        for e in edges:
+            u, v = e
+            if u in drop:
+                around[u][colour].add(v)
+            elif v in drop:
+                around[v][colour].add(u)
+            else:
+                kept[colour].append(e)
+    (b1, r1), (b2, r2) = around[x1], around[x2]
+    n1, n2 = (b1 | r1) - drop, (b2 | r2) - drop
+    reds = ((r1 | r2) - drop) | (n1 ^ n2)
+    black.extend(pair(x0, w) for w in (n1 | n2) - reds)
+    red.extend(pair(x0, w) for w in reds)
     return Trigraph((t.vertices - drop) | {x0}, frozenset(black), frozenset(red))
 
-
-def trigraph_relabel(t: Trigraph, perm) -> Trigraph:
-    return Trigraph(
-        frozenset(perm[v] for v in t.vertices),
-        frozenset(pair(perm[u], perm[v]) for u, v in t.black),
-        frozenset(pair(perm[u], perm[v]) for u, v in t.red),
-    )

@@ -191,11 +191,6 @@ def read_partition(text: str, n: int) -> VertexPartition:
         raise FormatError(1, str(exc)) from None
 
 
-def write_partition(p: VertexPartition) -> str:
-    lines = [" ".join(str(v + 1) for v in sorted(members)) for _, members in p.parts]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------- decompositions
 
 

@@ -75,10 +75,6 @@ def partition_from_blocks(n: int, blocks, ids=None) -> VertexPartition:
     return VertexPartition(n, parts)
 
 
-def singleton_partition(n: int) -> VertexPartition:
-    return VertexPartition(n, tuple((v, frozenset((v,))) for v in range(n)))
-
-
 @dataclass(frozen=True)
 class PartitionedTrigraph:
     """A partition together with its quotient trigraph over part ids."""

@@ -273,22 +273,37 @@ def tww3_family_sequence(n: int) -> ContractionSequence:
 # ------------------------------------------------ biclique detection
 
 
+def _has_c4(g: Graph) -> bool:
+    """Whether g has a 4-cycle, in O(arboricity * m) (Chiba and Nishizeki,
+    SIAM J. Comput. 1985): from each vertex by decreasing (degree, id),
+    walk two steps into unvisited vertices; a vertex reached twice closes one."""
+    adj, done = g.adj, [False] * g.n
+    for v in sorted(range(g.n), key=lambda x: (len(adj[x]), x), reverse=True):
+        done[v] = True
+        ends = [w for u in adj[v] if not done[u] for w in adj[u] if not done[w]]
+        if len(ends) > len(set(ends)):
+            return True
+    return False
+
+
 def has_ktt(g: Graph, t: int):
     """Find a K_{t,t} subgraph: disjoint t-sets A, B with all of A x B
-    present.  Returns (A, B) as sorted tuples, or None.  Exact; the
-    search is exponential in t only (t=2 runs on common-neighbour wedges).
-    """
+    present.  Returns (A, B) as sorted tuples, or None.  Exact; the search
+    is exponential in t only (t=2 scans common-neighbour wedges, only once
+    a linear-time scan has found a 4-cycle)."""
     if t < 1:
         raise ValueError("t must be positive")
     if t == 2:
+        if not _has_c4(g):
+            return None
         for w in range(g.n):
-            nbrs = sorted(g.adj[w])
+            nbrs = sorted(u for u in g.adj[w] if len(g.adj[u]) >= 2)
             for u, v in combinations(nbrs, 2):
                 common = (g.adj[u] & g.adj[v]) - {u, v}
                 if len(common) >= 2:
                     b = sorted(common)[:2]
                     return ((u, v), (b[0], b[1]))
-        return None
+        raise AssertionError("a 4-cycle without a common-neighbour wedge")
     candidates = [v for v in range(g.n) if g.degree(v) >= t]
 
     def extend(chosen: list[int], common: frozenset[int], start: int):

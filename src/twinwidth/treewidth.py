@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, adjacency_rows, pair
+from .graphs import Graph, adjacency_rows
 
 DEFAULT_BUDGET = 10**6  # subset states; the CLIs' default, the library's is unbounded
 
@@ -119,10 +119,10 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
     edges touch rather than a rescore of every live vertex.
     """
     nbrs = [set(row) for row in g.adj]
-    fill = []
+    fill = [0] * g.n
     for v, around in enumerate(nbrs):
-        d = len(around)
-        fill.append(d * (d - 1) // 2 - sum(len(around & nbrs[u]) for u in around) // 2)
+        if (d := len(around)) > 1:
+            fill[v] = d * (d - 1) // 2 - sum(len(around & nbrs[u]) for u in around) // 2
     keys: list[tuple[int, int] | None] = [(fill[v], len(nbrs[v])) for v in range(g.n)]
     heap = [(f, d, v) for v, (f, d) in enumerate(keys)]
     heapq.heapify(heap)
@@ -141,7 +141,7 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
         for u in around:
             row = nbrs[u]
             row.discard(v)
-            fill[u] -= len(row - around)
+            fill[u] -= len(row) - len(around & row)  # iterates the smaller set
         # each fill edge {a, b} closes the pair in every common neighbour
         # and opens the pairs {b, x}, x in N(a) - N(b), in a (and back in b)
         for a in around:
@@ -152,8 +152,8 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
                     for c in common:
                         fill[c] -= 1
                     changed |= common
-                    fill[a] += len(na - nb)
-                    fill[b] += len(nb - na)
+                    fill[a] += len(na) - len(common)
+                    fill[b] += len(nb) - len(common)
                     na.add(b)
                     nb.add(a)
         for u in changed:
@@ -338,30 +338,30 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
     return _search(g, k, budget)[0]
 
 
-def treewidth_decide(g: Graph, k: int, budget: int | None = None) -> bool:
-    """Exact decision: tree-width <= k?  May raise BudgetExceeded."""
-    _check_budget(budget)
-    return treewidth_order(g, k, budget) is not None
-
-
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Bags from an elimination order: bag i is v_i plus its fill neighbours."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must enumerate every vertex exactly once")
     if g.n == 0:
         return TreeDecomposition(((0, frozenset()),), ())
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     nbrs = [set(row) for row in g.adj]
     bags: list[tuple[int, frozenset[int]]] = []
     edges: list[tuple[int, int]] = []
     for i, v in enumerate(order):
         rest = nbrs[v]
         bags.append((i, frozenset(rest | {v})))
-        for u in rest:  # v's fill neighbours become a clique, without v
-            nbrs[u] |= rest
-            nbrs[u] -= {u, v}
-        if rest:
-            edges.append(pair(i, min(pos[u] for u in rest)))
+        if len(rest) == 1:  # one later neighbour: v leaves and adds no fill
+            (u,) = rest
+            nbrs[u].discard(v)
+            edges.append((i, pos[u]))
+        elif rest:
+            for u in rest:  # v's fill neighbours become a clique, without v
+                nbrs[u] |= rest
+                nbrs[u] -= {u, v}
+            edges.append((i, min(pos[u] for u in rest)))
         elif i + 1 < g.n:
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .connectivity import max_disjoint_paths, min_vertex_cut
 from .graphs import Graph, max_red_degree, pair
 from .partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
-from .sequences import Split, UncontractionSequence, partitions_at, split_at
+from .sequences import Split, UncontractionSequence, partitions_at
 from .structure import MeshEmbedding, verify_mesh
 
 MAINTAINED = "maintained"
@@ -147,15 +147,15 @@ def advance_witness(g: Graph, p_j: VertexPartition, w: WitnessState, split: Spli
     except WitnessViolation as exc:
         return InvariantReport(VIOLATED_STRUCTURE, f"input not a witness: {exc.condition}", None)
     pt_next = split_part(g, pt, split.parent, (split.id_a, split.set_a), (split.id_b, split.set_b))
-    return _advance(g, p_j, w, split, pt_next)
+    return _advance(g, p_j, w, (split.parent, split.id_a, split.id_b), pt_next)
 
 
-def _advance(g: Graph, p_j: VertexPartition, w: WitnessState, split: Split, pt_next) -> InvariantReport:
+def _advance(g: Graph, p_j: VertexPartition, w: WitnessState, split: tuple[int, int, int], pt_next) -> InvariantReport:
     """The case analysis of `advance_witness`, for a validated state w on
-    p_j and the quotient pt_next of the split partition."""
+    p_j, the split's ids (parent, id_a, id_b) and the quotient pt_next."""
     p_next = pt_next.partition
     t = w.t
-    x = split.parent
+    x, id_a, id_b = split
 
     if x not in w.parts:
         state, why = _try(g, p_next, w.parts, t, pt_next)
@@ -170,7 +170,7 @@ def _advance(g: Graph, p_j: VertexPartition, w: WitnessState, split: Split, pt_n
         succ = flipped.successor.reversed() if flipped.successor else None
         return InvariantReport(flipped.verdict, flipped.case + " (mirrored)", succ)
 
-    children = sorted((split.id_a, split.id_b))
+    children = sorted((id_a, id_b))
     if x == w.x1:
         # keep the side holding the path starts; weight may shift into Nb(X2)
         union = p_j.members(w.x1) | p_j.members(w.x2) | p_j.members(w.x3) | p_j.members(w.x4)
@@ -238,7 +238,8 @@ def audit_sequence(g: Graph, u: UncontractionSequence, w0: WitnessState, t: int)
         pt_next = quotient(g, partitions_at(u, j + 1))
         if max_red_degree(pt_next.quotient) > 2:
             return AuditResult("sequence-escaped", j + 1, "quotient red degree above 2")
-        rep = _advance(g, pt.partition, w, split_at(u, j - 1), pt_next)
+        x = 2 * u.n - 1 - j  # split j - 1 undoes the merge that made node x
+        rep = _advance(g, pt.partition, w, tuple(u.part_ids[y] for y in (x, *u.merges[x - u.n])), pt_next)
         if rep.verdict == VIOLATED_RED_DEGREE:
             return AuditResult("contradiction-found", j + 1, rep.case)
         w = rep.successor

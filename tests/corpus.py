@@ -9,7 +9,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from twinwidth.graphs import Graph, graph_from_edges
+from twinwidth.graphs import Graph, cycle_graph, graph_from_edges, pair
+from twinwidth.partitions import VertexPartition, partition_from_blocks
 from twinwidth.sequences import ContractionSequence, sequence_from_pairs
 from twinwidth.structure import has_ktt
 
@@ -161,6 +162,16 @@ def random_ktt_free(rng: random.Random, n: int, t: int = 2, p: float = 0.4) -> G
         g = graph_from_edges(n, g.edges - {tuple(sorted((a[0], b[0])))})
 
 
+def singleton_partition(n: int) -> VertexPartition:
+    return partition_from_blocks(n, ({v} for v in range(n)))
+
+
+def write_partition(p: VertexPartition) -> str:
+    """A partition in the text format `io.read_partition` reads."""
+    lines = [" ".join(str(v + 1) for v in sorted(members)) for _, members in p.parts]
+    return "\n".join(lines) + "\n"
+
+
 def random_partition(rng: random.Random, n: int):
     """Uniform-ish random partition blocks of 0..n-1."""
     blocks: list[set[int]] = []
@@ -200,3 +211,39 @@ def red_paths(red_adj) -> list[tuple[int, int, int, int]]:
 
 def random_tree(rng: random.Random, n: int) -> Graph:
     return graph_from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def star(n: int) -> Graph:
+    """K_{1,n-1}: the hub 0 and n - 1 leaves."""
+    return graph_from_edges(n, ((0, v) for v in range(1, n)))
+
+
+def subdivided_star(arms: int) -> Graph:
+    """The hub 0 with `arms` paths of two edges; arm a is 0-(2a+1)-(2a+2)."""
+    return graph_from_edges(2 * arms + 1, (e for a in range(arms) for e in ((0, 2 * a + 1), (2 * a + 1, 2 * a + 2))))
+
+
+def certify_family(rng: random.Random) -> list[Graph]:
+    """Trees, caterpillars, ear graphs, subdivided K4s and cycles, like the
+    benchmark's certify ops, then stars and subdivided stars."""
+    graphs = [random_tree(rng, n) for n in (2, 3, 10, 60, 300)]
+    for spine, legs in ((1, 0), (5, 3), (40, 20), (200, 0), (200, 100)):
+        graphs.append(graph_from_edges(spine + legs, [(i, i + 1) for i in range(spine - 1)]
+                                       + [(rng.randrange(spine), spine + j) for j in range(legs)]))
+    for ears in range(0, 18, 3):  # a 5-cycle with paths of length 4 hung on its edges
+        edges, n = {pair(i, (i + 1) % 5) for i in range(5)}, 5
+        for _ in range(ears):
+            u, v = rng.choice(sorted(edges))
+            chain = [u, n, n + 1, n + 2, v]
+            n += 3
+            edges |= {pair(a, b) for a, b in zip(chain, chain[1:])}
+        graphs.append(graph_from_edges(n, edges))
+    for times in (0, 1, 3, 8):
+        edges, n = [], 4
+        for u, v in combinations(range(4), 2):
+            chain = [u, *range(n, n + times), v]
+            n += times
+            edges += zip(chain, chain[1:])
+        graphs.append(graph_from_edges(n, edges))
+    graphs += [cycle_graph(n) for n in (3, 4, 20, 150)]
+    return graphs + [star(n) for n in (2, 3, 4, 40, 300)] + [subdivided_star(a) for a in (1, 2, 3, 20, 150)]

@@ -15,7 +15,10 @@ trust, and the naive path layout scans the edges; the naive inversion
 walks a certificate twice beside a separate live set and builds every
 split's member sets, and the naive mesh
 search replays the chain forward with its own part map; the naive
-decomposition sequence roots its bag tree in two passes; the naive replay
+decomposition sequences root their bag tree in two passes or sort every
+node's children, the naive bags from an elimination order union the fill rows of
+every vertex, and the naive biclique search scans every common-neighbour
+wedge; the naive replay
 kernel keys its rows by certificate id and rewrites every red row of a
 product; the naive DIMACS reader normalises each edge twice, and the naive
 certificate writer and reader go through `json.dumps` and three passes; the
@@ -151,7 +154,8 @@ def naive_twin_pairs(g: Graph) -> list[tuple[int, int]] | None:
     t = trigraph_from_graph(g)
     pairs = []
     while t.n > 1:
-        twins = [(u, v) for u, v in combinations(sorted(t.vertices), 2) if t.neighbors(u) - {v} == t.neighbors(v) - {u}]
+        nbrs = {x: t.black_adj[x] | t.red_adj[x] for x in t.vertices}
+        twins = [(u, v) for u, v in combinations(sorted(t.vertices), 2) if nbrs[u] - {v} == nbrs[v] - {u}]
         if not twins:
             return None
         t = contract(t, *twins[0], g.n + len(pairs))
@@ -404,6 +408,29 @@ def naive_minor_min_width(g: Graph) -> int:
                 else:
                     nbrs[u].discard(w)
     return lb
+
+
+def naive_decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
+    """Bags from an elimination order: bag i is v_i plus its fill neighbours."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order must enumerate every vertex exactly once")
+    if g.n == 0:
+        return TreeDecomposition(((0, frozenset()),), ())
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [set(row) for row in g.adj]
+    bags: list[tuple[int, frozenset[int]]] = []
+    edges: list[tuple[int, int]] = []
+    for i, v in enumerate(order):
+        rest = nbrs[v]
+        bags.append((i, frozenset(rest | {v})))
+        for u in rest:  # v's fill neighbours become a clique, without v
+            nbrs[u] |= rest
+            nbrs[u] -= {u, v}
+        if rest:
+            edges.append(pair(i, min(pos[u] for u in rest)))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags), tuple(edges))
 
 
 def naive_verify_tree_decomposition(g: Graph, td: TreeDecomposition) -> TDReport:
@@ -680,6 +707,60 @@ def naive_decomposition_sequence(g: Graph, td: TreeDecomposition) -> Contraction
             if y not in parent:
                 parent[y] = node
                 children[node].append(y)
+    weight: dict[int, int] = {}
+    for node in reversed(order):
+        weight[node] = 1 + sum(weight[c] for c in children[node])
+
+    # reversed, a pre-order that takes the lightest child first is the
+    # heavier-first post-order; an explicit stack keeps deep bag trees safe
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(sorted(children[node], key=lambda c: (-weight[c], c)))
+    pairs: list[tuple[int, int]] = []
+    acc: int | None = None  # certificate id of the accumulator
+    forgotten: set[int] = set()
+    for node in reversed(preorder):
+        above = bag[parent[node]] if node != root else frozenset()
+        for v in sorted(bag[node] - above - forgotten):
+            forgotten.add(v)
+            if acc is None:
+                acc = v
+            else:
+                pairs.append((acc, v))
+                acc = g.n + len(pairs) - 1
+    return sequence_from_pairs(g.n, pairs)
+
+
+def naive_bfs_decomposition_sequence(g: Graph, td: TreeDecomposition) -> ContractionSequence:
+    """Contraction sequence guided by a tree decomposition.
+
+    Vertices are contracted into one accumulator in post-order of the
+    rooted bag tree, heavier subtrees first; a vertex dies when the walk
+    leaves the last bag containing it, so the accumulator's red neighbours
+    stay confined to bags along the current root path.
+    """
+    if g.n == 0:
+        raise ValueError("cannot build a sequence for the empty graph")
+    ids = [i for i, _ in td.bags]
+    bag = td.by_id
+    nbrs: dict[int, list[int]] = {i: [] for i in ids}
+    for a, b in td.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    root = min(ids)
+    # one breadth-first walk; a subtree's weight does not depend on the walk
+    parent: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = {i: [] for i in ids}
+    order = [root]
+    for node in order:
+        for y in nbrs[node]:
+            if y not in parent:
+                parent[y] = node
+                children[node].append(y)
+                order.append(y)
     weight: dict[int, int] = {}
     for node in reversed(order):
         weight[node] = 1 + sum(weight[c] for c in children[node])
@@ -1353,6 +1434,43 @@ def min_separator_exhaustive(g: Graph, A, B) -> int:
 
 
 # ----------------------------------------------------------- small checks
+
+
+def naive_has_ktt(g: Graph, t: int):
+    """Find a K_{t,t} subgraph: disjoint t-sets A, B with all of A x B
+    present.  Returns (A, B) as sorted tuples, or None.  Exact; the
+    search is exponential in t only (t=2 runs on common-neighbour wedges).
+    """
+    if t < 1:
+        raise ValueError("t must be positive")
+    if t == 2:
+        for w in range(g.n):
+            nbrs = sorted(g.adj[w])
+            for u, v in combinations(nbrs, 2):
+                common = (g.adj[u] & g.adj[v]) - {u, v}
+                if len(common) >= 2:
+                    b = sorted(common)[:2]
+                    return ((u, v), (b[0], b[1]))
+        return None
+    candidates = [v for v in range(g.n) if g.degree(v) >= t]
+
+    def extend(chosen: list[int], common: frozenset[int], start: int):
+        if len(chosen) == t:
+            rest = sorted(common - set(chosen))
+            if len(rest) >= t:
+                return tuple(chosen), tuple(rest[:t])
+            return None
+        for idx in range(start, len(candidates)):
+            v = candidates[idx]
+            nxt = common & g.adj[v] if chosen else g.adj[v]
+            if len(nxt - set(chosen) - {v}) < t:
+                continue
+            hit = extend(chosen + [v], nxt, idx + 1)
+            if hit:
+                return hit
+        return None
+
+    return extend([], frozenset(), 0)
 
 
 def has_induced_p4(g: Graph) -> bool:

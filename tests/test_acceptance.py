@@ -41,7 +41,7 @@ from twinwidth.structure import (
     verify_mesh,
     wall_to_mesh,
 )
-from twinwidth.treewidth import treewidth_decide, treewidth_exact
+from twinwidth.treewidth import treewidth_exact, treewidth_order
 from twinwidth.witness import (
     MAINTAINED,
     MeshSearchMiss,
@@ -381,7 +381,7 @@ def test_criterion_08_certify_or_refute():
     failures = []
     for i, g in enumerate(corpus):
         assert has_ktt(g, 2) is None, f"corpus graph {i} is not biclique-free"
-        assert treewidth_decide(g, 3), f"corpus graph {i} exceeds tree-width 3"
+        assert treewidth_order(g, 3) is not None, f"corpus graph {i} exceeds tree-width 3"
         try:
             r = pipeline_certify(g, 2, 3)
         except WidthBoundMissed:

@@ -7,7 +7,8 @@ import pytest
 
 import twinwidth
 from twinwidth.cli import main_gen, main_lab, main_treewidth, main_tww, main
-from twinwidth.io import read_dimacs, read_pace_td, sequence_from_json, write_dimacs, write_partition
+from corpus import write_partition
+from twinwidth.io import read_dimacs, read_pace_td, sequence_from_json, write_dimacs
 from twinwidth.graphs import cycle_graph, path_graph
 from twinwidth.partitions import partition_from_blocks
 from twinwidth.sequences import verify_width

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_graph
+from corpus import random_graph, singleton_partition
 from oracles import naive_quotient, naive_split_part
 from twinwidth.graphs import (
     Graph,
-    are_twins,
     complete_graph,
     contract,
     cycle_graph,
@@ -21,10 +20,9 @@ from twinwidth.graphs import (
     red_degree,
     relabel,
     trigraph_from_graph,
-    trigraph_relabel,
     Trigraph,
 )
-from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition, split_part
+from twinwidth.partitions import partition_from_blocks, quotient, split_part
 from twinwidth.pipeline import decomposition_sequence
 from twinwidth.sequences import invert, partitions_at, split_at
 from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence
@@ -86,7 +84,7 @@ class TestContract:
         rnd.shuffle(perm)
         x1, x2 = rnd.sample(range(g.n), 2)
         lhs = contract(trigraph_from_graph(relabel(g, perm)), perm[x1], perm[x2], new_id=g.n)
-        rhs = trigraph_relabel(
+        rhs = _relabel_trigraph(
             contract(trigraph_from_graph(g), x1, x2, new_id=g.n),
             {**{v: perm[v] for v in range(g.n)}, g.n: g.n},
         )
@@ -107,6 +105,20 @@ class TestRedDegree:
     def test_invalid_vertex(self):
         with pytest.raises(ValueError):
             red_degree(trigraph_from_graph(path_graph(2)), 5)
+
+
+def _relabel_trigraph(t: Trigraph, perm) -> Trigraph:
+    return Trigraph(
+        frozenset(perm[v] for v in t.vertices),
+        frozenset(pair(perm[u], perm[v]) for u, v in t.black),
+        frozenset(pair(perm[u], perm[v]) for u, v in t.red),
+    )
+
+
+def are_twins(g: Graph, x: int, y: int) -> bool:
+    """Twins have the same neighbours outside the pair, so contracting
+    them turns no edge red."""
+    return not contract(trigraph_from_graph(g), x, y).red
 
 
 class TestTwins:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import random_graph, random_merge_order
+from corpus import random_graph, random_merge_order, write_partition
 from oracles import naive_read_dimacs, naive_sequence_from_json, naive_sequence_to_json
 from twinwidth.graphs import cycle_graph, path_graph, trigraph_from_graph, contract
 from twinwidth.io import (
@@ -22,7 +22,6 @@ from twinwidth.io import (
     verdict_to_json,
     write_dimacs,
     write_pace_td,
-    write_partition,
 )
 from twinwidth.partitions import partition_from_blocks
 from twinwidth.sequences import ContractionSequence, verify_width

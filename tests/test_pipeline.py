@@ -1,12 +1,22 @@
+import importlib.util
 import random
 import time
-from itertools import combinations
+import types
+from pathlib import Path
 
 import pytest
 
-from corpus import random_graph, random_tree
-from oracles import naive_decomposition_sequence
-from twinwidth.graphs import cycle_graph, graph_from_edges, grid_graph, pair, path_graph
+from corpus import certify_family, random_graph, random_ktt_free, random_tree, star, subdivided_star
+from oracles import (
+    bf_has_k22,
+    naive_bfs_decomposition_sequence,
+    naive_decomposition_from_order,
+    naive_decomposition_sequence,
+    naive_has_ktt,
+    naive_min_fill_order,
+)
+import twinwidth
+from twinwidth.graphs import cycle_graph, graph_from_edges, grid_graph, path_graph
 from twinwidth.pipeline import (
     WidthBoundMissed,
     decomposition_sequence,
@@ -14,7 +24,7 @@ from twinwidth.pipeline import (
     regime_floor,
 )
 from twinwidth.sequences import SequenceError, verify_width
-from twinwidth.structure import gen_wall
+from twinwidth.structure import gen_wall, has_ktt
 from twinwidth.treewidth import TreeDecomposition, decomposition_from_order, min_fill_order, treewidth_exact
 
 
@@ -44,31 +54,6 @@ class TestDecompositionSequence:
         assert len(decomposition_sequence(g, td).steps) == 0
 
 
-def _certify_family(rng: random.Random) -> list:
-    """Trees, caterpillars, ear graphs, subdivided K4s and cycles, like the
-    benchmark's certify ops."""
-    graphs = [random_tree(rng, n) for n in (2, 3, 10, 60, 300)]
-    for spine, legs in ((1, 0), (5, 3), (40, 20), (200, 0), (200, 100)):
-        graphs.append(graph_from_edges(spine + legs, [(i, i + 1) for i in range(spine - 1)]
-                                       + [(rng.randrange(spine), spine + j) for j in range(legs)]))
-    for ears in range(0, 18, 3):  # a 5-cycle with paths of length 4 hung on its edges
-        edges, n = {pair(i, (i + 1) % 5) for i in range(5)}, 5
-        for _ in range(ears):
-            u, v = rng.choice(sorted(edges))
-            chain = [u, n, n + 1, n + 2, v]
-            n += 3
-            edges |= {pair(a, b) for a, b in zip(chain, chain[1:])}
-        graphs.append(graph_from_edges(n, edges))
-    for times in (0, 1, 3, 8):
-        edges, n = [], 4
-        for u, v in combinations(range(4), 2):
-            chain = [u, *range(n, n + times), v]
-            n += times
-            edges += zip(chain, chain[1:])
-        graphs.append(graph_from_edges(n, edges))
-    return graphs + [cycle_graph(n) for n in (3, 4, 20, 150)]
-
-
 def _sequence_outcome(build, g, td):
     try:
         return build(g, td).pairs()
@@ -82,7 +67,7 @@ class TestDecompositionSequenceAgainstNaive:
     (`oracles.naive_decomposition_sequence`)."""
 
     def test_certify_families(self):
-        for g in _certify_family(random.Random(31)):
+        for g in certify_family(random.Random(31)):
             for td in (decomposition_from_order(g, min_fill_order(g)[0]), treewidth_exact(g).decomposition):
                 assert decomposition_sequence(g, td).pairs() == naive_decomposition_sequence(g, td).pairs()
 
@@ -102,6 +87,72 @@ class TestDecompositionSequenceAgainstNaive:
         assert outcome[0] is SequenceError  # vertex 3 sits only in the unreached bag
 
 
+def _certify_path_matches(g, rng: random.Random) -> None:
+    """Each stage of the certify path gives what its previous code gave:
+    the K_{2,2} answer, the min-fill order, the bags and tree edges of that
+    order and of a shuffled one, and the pairs of both bag walks."""
+    assert has_ktt(g, 2) == naive_has_ktt(g, 2), sorted(g.edges)
+    order, width = min_fill_order(g)
+    assert (order, width) == naive_min_fill_order(g), sorted(g.edges)
+    for o in (order, rng.sample(range(g.n), g.n)):
+        td = decomposition_from_order(g, o)
+        assert td == naive_decomposition_from_order(g, o), (sorted(g.edges), o)
+        if g.n:
+            assert decomposition_sequence(g, td).pairs() == naive_bfs_decomposition_sequence(g, td).pairs()
+
+
+def _lab_audit_setup_graphs(seed: int) -> list:
+    """Every graph whose K_{2,2} `bench/workloads.py`'s `lab-audit` set-up
+    asks for at `seed`: it deletes each reported edge until none is left,
+    so its inputs depend on which K_{2,2} comes first."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = []
+    structure = types.SimpleNamespace(**vars(twinwidth.structure))
+
+    def spy(g, t):
+        seen.append(g)
+        return twinwidth.structure.has_ktt(g, t)
+
+    structure.has_ktt = spy
+    layers = ("graphs", "solver", "sequences", "partitions", "witness", "treewidth", "pipeline", "connectivity")
+    tw = types.SimpleNamespace(structure=structure, **{name: getattr(twinwidth, name) for name in layers})
+    workloads.lab_audit(tw, random.Random(f"lab-audit/{seed}"))
+    return seen
+
+
+class TestCertifyPathAgainstOracles:
+    """`has_ktt`, `min_fill_order`, `decomposition_from_order` and
+    `decomposition_sequence` against verbatim copies of their previous code
+    (`naive_min_fill_order` is the rescoring oracle)."""
+
+    def test_sparse_families(self):
+        rng = random.Random(34)
+        for g in certify_family(random.Random(33)):
+            _certify_path_matches(g, rng)
+
+    def test_random_graphs_with_and_without_c4(self):
+        rng = random.Random(35)
+        with_c4 = 0
+        for i in range(2000):
+            n = 1 + i % 14
+            g = random_ktt_free(rng, n) if i % 3 == 0 else random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5)))
+            with_c4 += bf_has_k22(g)
+            _certify_path_matches(g, rng)
+        assert 500 < with_c4 < 1500
+
+    @pytest.mark.parametrize("seed", [1, 7177])
+    def test_lab_audit_setup_graphs(self, seed):
+        rng = random.Random(seed)
+        graphs = _lab_audit_setup_graphs(seed)
+        assert len(graphs) >= 48
+        assert any(has_ktt(g, 2) is not None for g in graphs)
+        for g in graphs:
+            _certify_path_matches(g, rng)
+
+
 class TestPipeline:
     @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
     def test_certifies_5000_vertices(self, g):
@@ -110,6 +161,16 @@ class TestPipeline:
         r = pipeline_certify(g, 2, 3)
         assert r.status == "sequence" and r.width <= r.bound
         assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("g, width", [(star(5000), 1), (subdivided_star(2500), 2)], ids=["star", "subdivided-star"])
+    def test_certifies_hubs(self, g, width):
+        # the pair scan of has_ktt and min-fill's leaf updates cost the
+        # hub's degree per neighbour: 6.4 s and 1.4 s
+        start = time.perf_counter()
+        r = pipeline_certify(g, 2, 3)
+        assert time.perf_counter() - start < 0.5
+        assert r.status == "sequence" and r.width == width
+        assert verify_width(g, r.sequence) == width
 
     def test_tree_at_gate_one(self):
         rng = random.Random(15)

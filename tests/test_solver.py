@@ -186,7 +186,7 @@ class TestSearchOrderPinned:
 def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:
     """The quotient rows of trigraph t, parts at the positions of `live`."""
     pos = {x: k for k, x in enumerate(live)}
-    adjs = [sum(1 << pos[y] for y in t.neighbors(x)) for x in live]
+    adjs = [sum(1 << pos[y] for y in t.black_adj[x] | t.red_adj[x]) for x in live]
     reds = [sum(1 << pos[y] for y in t.red_adj[x]) for x in live]
     return adjs, reds
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from corpus import random_graph, random_ktt_free, random_merge_order, random_partition, red_paths
+from corpus import random_graph, random_ktt_free, random_merge_order, random_partition, red_paths, singleton_partition
 from oracles import (
     naive_advance_witness,
     naive_audit_sequence,
@@ -15,7 +15,7 @@ from oracles import (
 from plants import planted_cases, starved_cases
 from twinwidth import witness
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
-from twinwidth.partitions import partition_from_blocks, quotient, singleton_partition
+from twinwidth.partitions import partition_from_blocks, quotient
 from twinwidth.pipeline import decomposition_sequence
 from twinwidth.sequences import (
     SequenceError,
