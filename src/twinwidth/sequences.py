@@ -229,8 +229,8 @@ class UncontractionSequence:
     Leaves 0..n-1 are the vertices and node n+j is the product of
     `merges[j]`, so split i undoes merge n-2-i; `part_ids[x]` is the id
     node x's part carries while live.  Each merge must join two live
-    nodes, or a SequenceError names the first that does not; `invert` and
-    `uncontraction_from_splits` vouch for the part ids."""
+    nodes, and no two live nodes may carry one id, or a SequenceError
+    names the first merge or id that breaks this."""
 
     n: int
     merges: tuple[tuple[int, int], ...]
@@ -240,14 +240,21 @@ class UncontractionSequence:
         n = self.n
         if len(self.merges) != n - 1 or len(self.part_ids) != 2 * n - 1:
             raise SequenceError(f"expected {n - 1} merges and {2 * n - 1} part ids")
+        ids, merges = self.part_ids, self.merges
+        live: set[int] = set()  # the live nodes' ids; a dead node's id may come back
         dead = bytearray(2 * n - 1)
-        x = n  # the next product's node
-        for u, v in self.merges:
-            # a negative index would wrap around, so range-check first
-            if not (0 <= u < x and 0 <= v < x) or u == v or dead[u] or dead[v]:
-                raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
-            dead[u] = dead[v] = 1
-            x += 1
+        for x in range(2 * n - 1):
+            if x >= n:
+                u, v = merges[x - n]
+                # a negative index would wrap around, so range-check first
+                if not (0 <= u < x and 0 <= v < x) or u == v or dead[u] or dead[v]:
+                    raise SequenceError(f"step merges dead or unknown vertex in ({u},{v})")
+                dead[u] = dead[v] = 1
+                live.remove(ids[u])
+                live.remove(ids[v])
+            if ids[x] in live:
+                raise SequenceError(f"part id {ids[x]} is live twice")
+            live.add(ids[x])
 
     @property
     def root_id(self) -> int:

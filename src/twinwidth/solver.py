@@ -1,12 +1,12 @@
 """Exact twin-width decision at desk scale, plus heuristic sequences.
 
-The search walks partition states of the original graph depth-first,
-merging two parts per step.  A state's quotient colors depend only on the
-partition, never on the merge order, so visited canonical keys can be
-memoized: a state that failed once can be skipped forever.  Branches are
-ordered by the child's maximum red degree, then by the lexicographically
-smallest certificate pair, which makes YES certificates and UNKNOWN
-outcomes deterministic.
+The search walks partition states of the original graph depth-first on
+`search.walk`'s explicit stack, merging two parts per step.  A state's
+quotient colors depend only on the partition, never on the merge order,
+so visited canonical keys can be memoized: a state that failed once can
+be skipped forever.  Branches are ordered by the child's maximum red
+degree, then by the lexicographically smallest certificate pair, which
+makes YES certificates and UNKNOWN outcomes deterministic.
 
 A state is a list of parts, each a bitmask over original vertices, with
 two quotient rows per part, bitmasks over part positions: `adjs` (parts
@@ -17,8 +17,8 @@ adjacency rows its red row is (ai ^ aj) | ri | rj, three operations.
 A row red to i or j stays red to the merged part, so every other row's
 red degree moves by +1, 0 or -1, and the largest of them is read off
 the degree classes.  Merges over the width bound are pruned, the rest
-sorted, and a child's parts and rows are built only when the DFS
-reaches it and its partition is not yet visited.
+sorted, and a child's parts and rows are built only when the walk asks
+for it and its partition is not yet visited.
 
 The heuristics walk the same rows without backtracking: greedy is the
 search's first branch at unbounded width, found by stepping the bound up
@@ -30,6 +30,7 @@ every certificate and shares no code with this module.
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_rows
+from .search import walk
 from .sequences import ContractionSequence, sequence_from_pairs, verify_width
 
 DEFAULT_BUDGET = 10**7
@@ -138,47 +139,29 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     n = g.n
-    adj = _singleton_rows(g)
-    visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
-    expanded = 0
-    out_of_budget = False
-    steps: list[tuple[int, int]] = []
+    visited: set[tuple[int, ...]] = set()
 
-    def dfs(masks: list[int], exts: list[int], adjs: list[int], reds: list[int]) -> bool:
-        nonlocal expanded, out_of_budget
-        if len(masks) == 1:
-            return True
-        expanded += 1
-        if expanded > budget:
-            out_of_budget = True
-            return False
-        next_ext = n + len(steps)
+    def children(state):
+        masks, exts, adjs, reds = state
+        next_ext = 2 * n - len(masks)
         for _, uv, i, j, merged_red in sorted(_scored(exts, adjs, reds, d)):
             new_masks = masks[:i] + masks[i + 1:j] + masks[j + 1:]
             new_masks.append(masks[i] | masks[j])
             key = tuple(sorted(new_masks))
-            if key in visited:
-                continue
-            visited.add(key)
-            new_adjs, new_reds = _child_rows(adjs, reds, i, j, merged_red)
-            new_exts = exts[:i] + exts[i + 1:j] + exts[j + 1:]
-            new_exts.append(next_ext)
-            steps.append(uv)
-            if dfs(new_masks, new_exts, new_adjs, new_reds):
-                return True
-            if out_of_budget:
-                return False
-            steps.pop()
-        return False
+            if key not in visited:
+                visited.add(key)
+                new_exts = exts[:i] + exts[i + 1:j] + exts[j + 1:]
+                new_exts.append(next_ext)
+                yield uv, (new_masks, new_exts, *_child_rows(adjs, reds, i, j, merged_red))
 
-    if dfs([1 << v for v in range(n)], list(range(n)), adj, [0] * n):
+    root = ([1 << v for v in range(n)], list(range(n)), _singleton_rows(g), [0] * n)
+    steps, expanded = walk(root, n - 1, children, budget)
+    if steps is not None:
         seq = sequence_from_pairs(n, steps)
         if verify_width(g, seq) > d:
             raise AssertionError("solver produced a certificate wider than requested")
         return DecideResult("yes", seq, expanded)
-    if out_of_budget:
-        return DecideResult("unknown", None, expanded)
-    return DecideResult("no", None, expanded)
+    return DecideResult("unknown" if expanded > budget else "no", None, expanded)
 
 
 def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> ExactResult:

@@ -1,16 +1,14 @@
 """Exact tree-width at desk scale, with verified tree decompositions.
 
-The solver searches elimination orderings as a memoized dynamic program
-over vertex subsets (the set of already-eliminated vertices), pruned by a
+The solver walks elimination orderings depth-first on `search.walk`,
+each set of eliminated vertices expanded once, pruned by a
 degeneracy-style lower bound, a stuck-vertex count, and a greedy min-fill
-upper bound.  Each state carries the fill rows of its elimination graph:
-for every live vertex, the live vertices it reaches through eliminated
-ones.  Eliminating v rewrites only the rows of v's fill neighbours, so a
-state costs O(n + k) word operations.  When the first candidate is almost
-simplicial (its fill neighbours less one vertex form a clique), it is the
-state's only branch, the rule of Bodlaender, Koster and van den Eijkhof
-(Comput. Intell. 2005): eliminating it leaves a minor of the state's
-graph, so the state has a width-k order iff that child has.
+upper bound.  A state's fill rows give each live vertex's neighbours in
+the elimination graph, and eliminating v rewrites only the rows of v's
+fill neighbours, so a state costs O(n + k) word operations.  When the
+first candidate is almost simplicial (its fill neighbours less one vertex
+form a clique), it is the state's only branch, the rule of Bodlaender,
+Koster and van den Eijkhof (Comput. Intell. 2005).
 `treewidth_exact` decides k upward from the contraction bound, so every
 NO raises the lower bound it reports; its one decomposition is rebuilt
 from the winning ordering and re-checked by the literal three-condition
@@ -18,10 +16,12 @@ verifier.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph, adjacency_rows
+from .search import walk
 
 DEFAULT_BUDGET = 10**6  # subset states; the CLIs' default, the library's is unbounded
 
@@ -250,26 +250,12 @@ def _search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int
 def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """`_search` for 0 <= k < n - 1 without its heuristic pre-checks."""
     n = g.n
-    full = (1 << n) - 1
     visited: set[int] = set()
-    expanded = 0
-    suffix: list[int] = []
 
-    def dfs(elim: int, fill: list[int], deg: list[int], stuck: int, prefix: list[int]) -> bool:
-        nonlocal expanded
-        if n - len(prefix) <= k + 1:
-            suffix.extend(prefix)
-            m = full & ~elim
-            while m:
-                b = m & -m
-                suffix.append(b.bit_length() - 1)
-                m ^= b
-            return True
-        expanded += 1
-        if budget is not None and expanded > budget:
-            raise BudgetExceeded(f"tree-width search exceeded {budget} states")
+    def children(state):
+        elim, fill, deg, stuck = state
         if stuck > k + 1:
-            return False
+            return
         # an eliminated vertex's degree is n > k, so it is never a candidate
         cands = sorted([(d, v) for v, d in enumerate(deg) if d <= k])
         # an almost simplicial first candidate is safe to eliminate first
@@ -297,17 +283,17 @@ def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | No
                 d = merged.bit_count()
                 cstuck += (d > k) - (cdeg[w] > k)
                 cdeg[w] = d
-            prefix.append(v)
-            if dfs(child, cfill, cdeg, cstuck, prefix):
-                return True
-            prefix.pop()
-        return False
+            yield v, (child, cfill, cdeg, cstuck)
 
     fill = adjacency_rows(g)
     deg = [row.bit_count() for row in fill]
-    if dfs(0, fill, deg, sum(d > k for d in deg), []):
-        return suffix, expanded
-    return None, expanded
+    limit = math.inf if budget is None else budget
+    order, expanded = walk((0, fill, deg, sum(d > k for d in deg)), n - k - 1, children, limit)
+    if expanded > limit:
+        raise BudgetExceeded(f"tree-width search exceeded {budget} states")
+    if order is not None:  # once k + 1 vertices remain, any order finishes
+        order += sorted(set(range(n)).difference(order))
+    return order, expanded
 
 
 def _check_budget(budget: int | None) -> None:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from twinwidth.graphs import Graph, cycle_graph, graph_from_edges, pair
+from twinwidth.graphs import Graph, cycle_graph, graph_from_edges, grid_graph, pair
 from twinwidth.partitions import VertexPartition, partition_from_blocks
 from twinwidth.sequences import ContractionSequence, sequence_from_pairs
 from twinwidth.structure import has_ktt
@@ -221,6 +221,13 @@ def star(n: int) -> Graph:
 def subdivided_star(arms: int) -> Graph:
     """The hub 0 with `arms` paths of two edges; arm a is 0-(2a+1)-(2a+2)."""
     return graph_from_edges(2 * arms + 1, (e for a in range(arms) for e in ((0, 2 * a + 1), (2 * a + 1, 2 * a + 2))))
+
+
+def grid_with_tail(side: int = 5, tail: int = 1200) -> Graph:
+    """The side x side grid with a path of `tail` new vertices hung on its
+    last vertex: tree-width `side`, and a search `tail` levels deep."""
+    last = side * side - 1
+    return graph_from_edges(last + 1 + tail, [*grid_graph(side).edges, *((v, v + 1) for v in range(last, last + tail))])
 
 
 def certify_family(rng: random.Random) -> list[Graph]:

@@ -2,7 +2,7 @@
 
 Kept deliberately naive and separate from the library code paths: the
 twin-width brute force enumerates raw (u,v)-choice trees with no
-memoization; the greedy and twin-merge oracles rebuild an immutable
+memoization, and the naive decision recurses one frame per level; the greedy and twin-merge oracles rebuild an immutable
 trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree and
@@ -44,7 +44,9 @@ from twinwidth.sequences import (
     sequence_from_pairs,
     split_at,
     uncontraction_from_splits,
+    verify_width,
 )
+from twinwidth.solver import DEFAULT_BUDGET, DecideResult, _child_rows, _scored, _singleton_rows
 from twinwidth.structure import MeshEmbedding, verify_mesh
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 from twinwidth.witness import (
@@ -130,6 +132,64 @@ def bf_twinwidth(g: Graph) -> int:
     while not bf_decide_twinwidth(g, d):
         d += 1
     return d
+
+
+def naive_decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> DecideResult:
+    """`solver.decide_twinwidth_at_most` as a recursive closure, one Python
+    frame per level, kept verbatim: the walk must give its statuses,
+    expansions and certificates.  Does g admit a contraction sequence of
+    width <= d?
+
+    YES carries a certificate that re-verifies at width <= d; NO means the
+    memoized search exhausted every width-<= d partition state; UNKNOWN is
+    returned only when the expansion budget runs out.
+    """
+    if d < 0:
+        raise ValueError("width bound must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    n = g.n
+    adj = _singleton_rows(g)
+    visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
+    expanded = 0
+    out_of_budget = False
+    steps: list[tuple[int, int]] = []
+
+    def dfs(masks: list[int], exts: list[int], adjs: list[int], reds: list[int]) -> bool:
+        nonlocal expanded, out_of_budget
+        if len(masks) == 1:
+            return True
+        expanded += 1
+        if expanded > budget:
+            out_of_budget = True
+            return False
+        next_ext = n + len(steps)
+        for _, uv, i, j, merged_red in sorted(_scored(exts, adjs, reds, d)):
+            new_masks = masks[:i] + masks[i + 1:j] + masks[j + 1:]
+            new_masks.append(masks[i] | masks[j])
+            key = tuple(sorted(new_masks))
+            if key in visited:
+                continue
+            visited.add(key)
+            new_adjs, new_reds = _child_rows(adjs, reds, i, j, merged_red)
+            new_exts = exts[:i] + exts[i + 1:j] + exts[j + 1:]
+            new_exts.append(next_ext)
+            steps.append(uv)
+            if dfs(new_masks, new_exts, new_adjs, new_reds):
+                return True
+            if out_of_budget:
+                return False
+            steps.pop()
+        return False
+
+    if dfs([1 << v for v in range(n)], list(range(n)), adj, [0] * n):
+        seq = sequence_from_pairs(n, steps)
+        if verify_width(g, seq) > d:
+            raise AssertionError("solver produced a certificate wider than requested")
+        return DecideResult("yes", seq, expanded)
+    if out_of_budget:
+        return DecideResult("unknown", None, expanded)
+    return DecideResult("no", None, expanded)
 
 
 # ---------------------------------------------- contraction heuristics

@@ -7,7 +7,7 @@ import pytest
 
 import twinwidth
 from twinwidth.cli import main_gen, main_lab, main_treewidth, main_tww, main
-from corpus import write_partition
+from corpus import grid_with_tail, write_partition
 from twinwidth.io import read_dimacs, read_pace_td, sequence_from_json, write_dimacs
 from twinwidth.graphs import cycle_graph, path_graph
 from twinwidth.partitions import partition_from_blocks
@@ -259,6 +259,25 @@ class TestTreewidthCli:
         f.write_text(write_dimacs(path_graph(3)))
         assert main(["treewidth", str(f)]) == 0
         assert main(["nope"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [(["lab", "pipeline", "{g}", "-t", "2", "-k", "4"], "tww-exceeds-2 (conditional)"), (["treewidth", "{g}"], "tw: 5")],
+    ids=["lab pipeline", "treewidth"],
+)
+def test_deep_gate_search_answers_without_traceback(argv, first_line, tmp_path):
+    """A 5x5 grid with a 1,200-vertex tail: the tree-width search runs
+    1,200 levels deep, which at one Python frame per level exited 1 with
+    a RecursionError traceback."""
+    f = tmp_path / "grid-tail.gr"
+    f.write_text(write_dimacs(grid_with_tail()))
+    src = os.path.dirname(os.path.dirname(twinwidth.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "twinwidth", *(a.format(g=f) for a in argv)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, (done.returncode, done.stderr)
+    assert done.stdout.splitlines()[0] == first_line
 
 
 class TestUsageErrors:

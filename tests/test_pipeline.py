@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import certify_family, random_graph, random_ktt_free, random_tree, star, subdivided_star
+from corpus import certify_family, grid_with_tail, random_graph, random_ktt_free, random_tree, star, subdivided_star
 from oracles import (
     bf_has_k22,
     naive_bfs_decomposition_sequence,
@@ -190,6 +190,11 @@ class TestPipeline:
         r = pipeline_certify(grid_graph(5), 2, 3)
         assert r.status == "tww-exceeds-2"
         assert r.conditional  # gate far below the regime floor, biclique present
+
+    def test_grid_with_a_1200_vertex_tail_refutes_conditionally(self):
+        # the gate's search took one Python frame per eliminated vertex: RecursionError
+        r = pipeline_certify(grid_with_tail(), 2, 4)
+        assert r.status == "tww-exceeds-2" and r.conditional
 
     def test_wall_sequence_within_bound(self):
         g, _ = gen_wall(6)

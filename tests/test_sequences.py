@@ -22,6 +22,7 @@ from twinwidth.sequences import (
     ReplayState,
     SequenceError,
     Split,
+    UncontractionSequence,
     apply_prefix,
     invert,
     partitions_at,
@@ -435,6 +436,21 @@ class TestChainCheckedWhenBuilt:
             uncontraction_from_splits(3, 0, (Split(0, 0, frozenset({0}), 1, frozenset({1, 2})),))
         with pytest.raises(SequenceError, match="expected 2 splits, got 0"):
             uncontraction_from_chain(3, [[{0, 1, 2}]])
+
+    @pytest.mark.parametrize(
+        "n, merges, part_ids, repeated",
+        [(2, ((0, 1),), (5, 5, 7), 5), (3, ((0, 1), (2, 3)), (1, 2, 3, 3, 9), 3)],
+        ids=["two-leaves", "leaf-and-product"],
+    )
+    def test_two_live_parts_with_one_id(self, n, merges, part_ids, repeated):
+        # these were accepted, and partitions_at raised a bare ValueError
+        with pytest.raises(SequenceError, match=f"^part id {repeated} is live twice$"):
+            UncontractionSequence(n, merges, part_ids)
+
+    def test_a_dead_id_comes_back(self):
+        u = UncontractionSequence(3, ((0, 1), (2, 3)), (1, 2, 3, 1, 1))
+        assert [partitions_at(u, i).by_id for i in (1, 2)] == [{1: frozenset({0, 1, 2})},
+                                                               {1: frozenset({0, 1}), 3: frozenset({2})}]
 
     def test_a_valid_chain_reuses_the_parent_id(self):
         u = uncontraction_from_splits(3, 0, (Split(0, 0, frozenset({0, 1}), 2, frozenset({2})),

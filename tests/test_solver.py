@@ -1,13 +1,22 @@
 import hashlib
 import inspect
 import random
+import sys
 import time
+from collections import Counter
 from itertools import accumulate
 
 import pytest
 
 from corpus import atlas_graphs, random_cograph, random_graph, random_graphs
-from oracles import bf_decide_twinwidth, bf_twinwidth, has_induced_p4, naive_greedy_pairs, naive_twin_pairs
+from oracles import (
+    bf_decide_twinwidth,
+    bf_twinwidth,
+    has_induced_p4,
+    naive_decide_twinwidth_at_most,
+    naive_greedy_pairs,
+    naive_twin_pairs,
+)
 from twinwidth.graphs import (
     complete_bipartite,
     complete_graph,
@@ -181,6 +190,52 @@ class TestSearchOrderPinned:
                 assert (r.status == "yes") == bf_decide_twinwidth(g, d), (d, sorted(g.edges))
                 if r.status == "yes":
                     assert verify_width(g, r.sequence) <= d
+
+
+def _decision(r):
+    return r.status, r.expanded, None if r.sequence is None else r.sequence.pairs()
+
+
+class TestWalkMatchesRecursiveSearch:
+    """The explicit-stack walk gives the recursive DFS's status, expansions
+    and certificate at every budget, including budgets that cut it partway."""
+
+    BUDGETS = (1, 10, 100, solver.DEFAULT_BUDGET)
+
+    def _same(self, g, d: int) -> list[str]:
+        statuses = []
+        for budget in self.BUDGETS:
+            r = decide_twinwidth_at_most(g, d, budget)
+            assert _decision(r) == _decision(naive_decide_twinwidth_at_most(g, d, budget)), (d, budget, sorted(g.edges))
+            statuses.append(r.status)
+        return statuses
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2424)
+        statuses = Counter()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12))
+            for d in range(4):
+                statuses.update(self._same(g, d))
+        assert min(statuses["yes"], statuses["no"], statuses["unknown"]) >= 50, statuses
+
+    @pytest.mark.parametrize("g", [gen_tww3_family(n)[0] for n in (1, 2, 3, 4)] + [gen_wall(4)[0], gen_wall(5)[0]],
+                             ids=["tww3-1", "tww3-2", "tww3-3", "tww3-4", "wall4", "wall5"])
+    def test_paper_families(self, g):
+        for d in range(4):
+            self._same(g, d)
+
+
+class TestDeepSearch:
+    def test_no_frame_per_level(self):
+        # one frame per level raised RecursionError at depth about 200
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            r = decide_twinwidth_at_most(path_graph(300), 1, 1000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert r.status == "yes" and r.expanded == 299
 
 
 def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:

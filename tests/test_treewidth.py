@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from corpus import random_graph, random_sparse, random_tree
+from corpus import grid_with_tail, random_graph, random_sparse, random_tree
 from oracles import (
     _naive_eliminate,
     naive_almost_simplicial,
@@ -334,11 +334,14 @@ def _same_search(g, k: int) -> int:
     """The subset search gives the naive DFS's order and state count, and
     its outcome at each budget; returns that count.  Both searches are
     deterministic and check the budget before each expansion, so equal
-    unbudgeted counts mean equal cut-offs at every budget."""
+    unbudgeted counts mean equal cut-offs at every budget: both raise
+    BudgetExceeded one state short of the count, and neither at it."""
     order, states = search_with_states(g, k, None)
     assert naive_search(g, k, None) == (order, states), (k, sorted(g.edges))
     if states:
-        assert _outcome(treewidth_order, g, k, states - 1) == "budget"
+        for search in (treewidth_order, naive_treewidth_order):
+            assert _outcome(search, g, k, states - 1) == "budget", (search.__name__, k, sorted(g.edges))
+            assert _outcome(search, g, k, states) == order, (search.__name__, k, sorted(g.edges))
     for budget in (1, 10, 100, 4000):
         assert _outcome(treewidth_order, g, k, budget) == _outcome(naive_treewidth_order, g, k, budget), (k, budget)
     return states
@@ -420,6 +423,12 @@ class TestScale:
         with pytest.raises(BudgetExceeded):
             treewidth_order(grid_graph(6), 5, budget=200_000)
         assert time.perf_counter() - start < 4.0
+
+    def test_exact_on_a_grid_with_a_1200_vertex_tail(self):
+        # one Python frame per eliminated vertex raised RecursionError in 0.2 s
+        r = treewidth_exact(grid_with_tail())
+        assert r.status == "exact" and r.width == 5
+        assert verify_tree_decomposition(grid_with_tail(), r.decomposition).width == 5
 
     @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
     def test_exact_on_5000_vertices(self, g):
