@@ -286,6 +286,32 @@ def _has_c4(g: Graph) -> bool:
     return False
 
 
+def _wedge_pairs(adj, w: int, nbrs: list[int]):
+    """The pairs u < v of w's neighbours, in order, that may share a second
+    neighbour.  Per u, the cheaper of two scans: all of w's later
+    neighbours, or the first that u's two-step walks past its highest-degree
+    neighbour h reach twice, counting one more for each v in N(h)."""
+    for i, u in enumerate(nbrs, 1):
+        au = adj[u]
+        later = len(nbrs) - i
+        if later >= len(au):  # below that, a walk past h costs at least as much
+            h = max(au, key=lambda y: len(adj[y]))
+            if sum(len(adj[y]) for y in au) - len(adj[h]) < later:
+                reached: dict[int, int] = {}
+                for y in au:
+                    if y != h:
+                        for x in adj[y]:
+                            if x > u:
+                                reached[x] = reached.get(x, 0) + 1
+                nh, nw = adj[h], adj[w]
+                found = [x for x, c in reached.items() if c + (x in nh) >= 2 and x in nw]
+                if found:
+                    yield u, min(found)
+                continue
+        for v in nbrs[i:]:
+            yield u, v
+
+
 def has_ktt(g: Graph, t: int):
     """Find a K_{t,t} subgraph: disjoint t-sets A, B with all of A x B
     present.  Returns (A, B) as sorted tuples, or None.  Exact; the search
@@ -296,10 +322,13 @@ def has_ktt(g: Graph, t: int):
     if t == 2:
         if not _has_c4(g):
             return None
+        adj = g.adj
         for w in range(g.n):
-            nbrs = sorted(u for u in g.adj[w] if len(g.adj[u]) >= 2)
-            for u, v in combinations(nbrs, 2):
-                common = (g.adj[u] & g.adj[v]) - {u, v}
+            nbrs = sorted(u for u in adj[w] if len(adj[u]) >= 2)
+            # a hub's pairs are quadratic in its degree; a few are cheaper to test than to skip
+            pairs = combinations(nbrs, 2) if len(nbrs) <= 16 else _wedge_pairs(adj, w, nbrs)
+            for u, v in pairs:
+                common = adj[u] & adj[v]  # holds neither u nor v: no loops
                 if len(common) >= 2:
                     b = sorted(common)[:2]
                     return ((u, v), (b[0], b[1]))

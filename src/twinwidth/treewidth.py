@@ -5,10 +5,11 @@ each set of eliminated vertices expanded once, pruned by a
 degeneracy-style lower bound, a stuck-vertex count, and a greedy min-fill
 upper bound.  A state's fill rows give each live vertex's neighbours in
 the elimination graph, and eliminating v rewrites only the rows of v's
-fill neighbours, so a state costs O(n + k) word operations.  When the
-first candidate is almost simplicial (its fill neighbours less one vertex
-form a clique), it is the state's only branch, the rule of Bodlaender,
-Koster and van den Eijkhof (Comput. Intell. 2005).
+fill neighbours, so a state costs O(n + k) word operations, and its
+last child takes over its rows.  The first candidate, in (fill degree,
+id) order, that is almost simplicial (its fill neighbours less one vertex
+form a clique) is the state's only branch, the rule of Bodlaender, Koster
+and van den Eijkhof (Comput. Intell. 2005).
 `treewidth_exact` decides k upward from the contraction bound, so every
 NO raises the lower bound it reports; its one decomposition is rebuilt
 from the winning ordering and re-checked by the literal three-condition
@@ -212,23 +213,24 @@ def _almost_simplicial(fill: list[int], v: int) -> bool:
     vertices.  Every vertex of fill degree <= 2 qualifies.
     """
     row = fill[v]
-
-    def clique(rest: int) -> bool:
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            if rest & ~b & ~fill[b.bit_length() - 1]:
-                return False
-        return True
-
     m = row
     while m:
         w = m & -m
         m ^= w
         miss = row & ~w & ~fill[w.bit_length() - 1]
-        if miss:  # c lies on the first non-edge {w, x}
-            return clique(row & ~w) or clique(row & ~(miss & -miss))
+        if miss:  # c lies on the first non-edge {w, x}; the vertices before w miss nothing
+            x = miss & -miss
+            return _clique(fill, row & ~w, m) or (miss == x and _clique(fill, row & ~x, m & ~x))
+    return True
+
+
+def _clique(fill: list[int], rest: int, m: int) -> bool:
+    """Whether each vertex of m is adjacent to all of rest but itself."""
+    while m:
+        b = m & -m
+        m ^= b
+        if rest & ~b & ~fill[b.bit_length() - 1]:
+            return False
     return True
 
 
@@ -257,20 +259,23 @@ def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | No
         if stuck > k + 1:
             return
         # an eliminated vertex's degree is n > k, so it is never a candidate
-        cands = sorted([(d, v) for v, d in enumerate(deg) if d <= k])
-        # an almost simplicial first candidate is safe to eliminate first
-        if cands and _almost_simplicial(fill, cands[0][1]):
-            cands = cands[:1]
-        for _, v in cands:
+        cands = sorted([v for v, d in enumerate(deg) if d <= k], key=deg.__getitem__)  # stable: ties by id
+        # an almost simplicial candidate is safe to eliminate first
+        for v in cands:
+            if _almost_simplicial(fill, v):
+                cands = [v]
+                break
+        last = cands[-1] if cands else -1
+        for v in cands:
             vbit = 1 << v
             child = elim | vbit
             if child in visited:
                 continue
             visited.add(child)
-            # only v's fill neighbours gain rows: w reaches what v reached
+            # only v's fill neighbours gain rows: w reaches what v reached;
+            # the last child takes over the rows, which are never read again
             row = fill[v]
-            cfill = fill[:]
-            cdeg = deg[:]
+            cfill, cdeg = (fill, deg) if v == last else (fill[:], deg[:])
             cdeg[v] = n
             cstuck = stuck
             m = row
@@ -310,13 +315,13 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
     w's neighbours in the elimination graph, and w's fill degree is the
     row's size.  More than k + 1 live vertices of fill degree above k end
     the branch; otherwise the candidates of fill degree <= k are tried in
-    (fill degree, id) order.  If the first one is almost simplicial, it is
-    tried alone: eliminating it costs a bag of at most k + 1 vertices and
-    leaves the minor that contracts it into the neighbour outside the
-    clique, so its child succeeds iff the state can.  The orders returned
-    are those of the search that branches on every candidate.  Eliminating
-    v changes only the rows of v's fill neighbours.  Once k + 1 vertices
-    remain, any order finishes.
+    (fill degree, id) order.  If any of them is almost simplicial, the
+    first such is tried alone: eliminating it costs a bag of at most k + 1
+    vertices and leaves the minor that contracts it into the neighbour
+    outside the clique, so its child succeeds iff the state can.  The
+    decisions are those of the search that branches on every candidate,
+    and the orders may differ.  Eliminating v changes only the rows of v's
+    fill neighbours.  Once k + 1 vertices remain, any order finishes.
 
     May raise BudgetExceeded after `budget` expanded states.
     """

@@ -582,10 +582,82 @@ def naive_almost_simplicial(adj: list[int], eliminated: int, v: int) -> bool:
 
 def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """The subset DFS of `treewidth._search`, with every live vertex's
-    fill degree, and the first candidate's almost-simpliciality, found by
-    fresh walks through the eliminated set in every state.  Same states,
-    same order, same budget cut-offs; returns the order and the number of
+    fill degree, and each candidate's almost-simpliciality, found by fresh
+    walks through the eliminated set in every state.  Same states, same
+    order, same budget cut-offs; returns the order and the number of
     states expanded."""
+    n = g.n
+    if n == 0:
+        return [], 0
+    if k >= n - 1:
+        return list(range(n)), 0
+    order, width = naive_min_fill_order(g)
+    if width <= k:
+        return order, 0
+    if naive_minor_min_width(g) > k:
+        return None, 0
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    visited: set[int] = set()
+    expanded = 0
+    suffix: list[int] = []
+
+    def dfs(elim: int, prefix: list[int]) -> bool:
+        nonlocal expanded
+        remaining = n - elim.bit_count()
+        if remaining <= k + 1:
+            suffix.extend(prefix)
+            m = full & ~elim
+            while m:
+                b = m & -m
+                suffix.append(b.bit_length() - 1)
+                m ^= b
+            return True
+        expanded += 1
+        if budget is not None and expanded > budget:
+            raise BudgetExceeded(f"tree-width search exceeded {budget} states")
+        cands = []
+        stuck = 0
+        m = full & ~elim
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            fd = _naive_fill_degree(adj, elim, v)
+            if fd <= k:
+                cands.append((fd, v))
+            else:
+                stuck += 1
+            m ^= b
+        if stuck > k + 1:
+            return False
+        cands.sort()
+        # an almost simplicial candidate is safe to eliminate first
+        safe = [(fd, v) for fd, v in cands if naive_almost_simplicial(adj, elim, v)]
+        if safe:
+            cands = safe[:1]
+        for fd, v in cands:
+            child = elim | (1 << v)
+            if child in visited:
+                continue
+            visited.add(child)
+            prefix.append(v)
+            if dfs(child, prefix):
+                return True
+            prefix.pop()
+        return False
+
+    if dfs(0, []):
+        return suffix, expanded
+    return None, expanded
+
+
+def naive_search_first_candidate(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
+    """`naive_search` as it was when only the first candidate, in (fill
+    degree, id) order, was tested for almost-simpliciality.  Kept verbatim:
+    `_search` must reach its decisions in no more states."""
     n = g.n
     if n == 0:
         return [], 0

@@ -234,12 +234,12 @@ class TestTreewidthCli:
         from corpus import random_sparse
 
         rng = random.Random(2318)
-        for i in range(75):
+        for i in range(53):
             g = random_sparse(rng, 18 + i % 6)
         f = tmp_path / "sparse.gr"
         f.write_text(write_dimacs(g))
         assert main_treewidth([str(f), "--budget", "100"]) == 2
-        assert capsys.readouterr().out == "tw: unknown (bounds 5..6 after 109 states)\n"
+        assert capsys.readouterr().out == "tw: unknown (bounds 6..7 after 133 states)\n"
 
     def test_budget_defaults_to_the_gate_constant(self, tmp_path, capsys, monkeypatch):
         # with no --budget the search was unbounded in time and memory

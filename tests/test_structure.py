@@ -1,8 +1,9 @@
 import pytest
 
-from oracles import bf_has_k22
-from corpus import random_graph
+from oracles import bf_has_k22, naive_has_ktt
+from corpus import random_graph, subdivided_star
 import random
+import time
 
 from twinwidth.graphs import complete_bipartite, cycle_graph, graph_from_edges, path_graph
 from twinwidth.partitions import partition_from_blocks, quotient
@@ -168,6 +169,40 @@ class TestHasKtt:
         a, b = hit
         assert all(g.has_edge(u, v) for u in a for v in b)
         assert has_ktt(g, 4) is None
+
+    def test_hub_scan_matches_the_pair_scan(self):
+        """Neighbourhoods of more than 16 choose per pair between testing
+        the later neighbours and a two-step walk; the first pair and its
+        two common neighbours are those of the scan over every pair."""
+        rng = random.Random(2121)
+        hits = 0
+        for i in range(300):
+            if i % 2:  # few 4-cycles through the hub
+                g, extra = subdivided_star(rng.randint(17, 40)), rng.randint(1, 6)
+            else:
+                g, extra = random_graph(rng, rng.randint(20, 60), rng.choice((0.02, 0.05))), 0
+            n = g.n
+            edges = set(g.edges)
+            for hub in rng.sample(range(n), rng.randint(1 - i % 2, 2)):
+                edges |= {(min(hub, v), max(hub, v)) for v in rng.sample(range(n), rng.randint(17, n - 1)) if v != hub}
+            while extra:
+                u, v = sorted(rng.sample(range(n), 2))
+                if (u, v) not in edges:
+                    edges.add((u, v))
+                    extra -= 1
+            g = graph_from_edges(n, edges)
+            hit = has_ktt(g, 2)
+            assert hit == naive_has_ktt(g, 2), sorted(g.edges)
+            hits += hit is not None
+        assert hits == 289
+
+    def test_subdivided_star_beside_a_c4(self):
+        # every pair of the hub's 2,000 neighbours was tested: 0.7-1.0 s
+        g = subdivided_star(2000)
+        g = graph_from_edges(g.n + 4, [*g.edges, *((g.n + i, g.n + (i + 1) % 4) for i in range(4))])
+        start = time.perf_counter()
+        assert has_ktt(g, 2) == ((4002, 4004), (4001, 4003))
+        assert time.perf_counter() - start < 0.1
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(17)

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from oracles import (
     naive_minor_min_width,
     naive_search,
     naive_search_degree_one,
+    naive_search_first_candidate,
     naive_treewidth_order,
     naive_verify_tree_decomposition,
     oracle_treewidth,
@@ -97,17 +99,18 @@ class TestExact:
             assert r.expanded == states and r.width == lb
 
     def test_budget_keeps_every_refuted_bound(self):
-        # the NO at k = 4 takes 9 states and the search at k = 5 takes 134;
-        # deciding downward from min-fill's 6 would spend the budget at k = 5
-        # and could report only 4..6
+        # the NO at k = 5 takes 33 states and the search at k = 6 takes 313;
+        # deciding downward from min-fill's 7 would spend the budget at k = 6
+        # and could report only 5..7
         rng = random.Random(2318)
-        for i in range(75):
+        for i in range(53):
             g = random_sparse(rng, 18 + i % 6)
-        assert g.n == 20 and (minor_min_width(g), min_fill_order(g)[1]) == (4, 6)
-        assert search_with_states(g, 4, None) == (None, 9)
+        assert g.n == 22 and (minor_min_width(g), min_fill_order(g)[1]) == (5, 7)
+        assert search_with_states(g, 5, None) == (None, 33)
+        assert search_with_states(g, 6, None) == (None, 313)
         r = treewidth_exact(g, budget=100)
-        assert (r.status, r.lb, r.ub, r.expanded) == ("unknown", 5, 6, 109)
-        assert treewidth_exact(g).width == 6
+        assert (r.status, r.lb, r.ub, r.expanded) == ("unknown", 6, 7, 133)
+        assert treewidth_exact(g).width == 7
 
 
 def treewidth_decide(g, k, budget=None) -> bool:
@@ -330,6 +333,20 @@ def _grid_cases() -> list:
     return [(grid_graph(side), k) for side in (3, 4, 5) for k in (side - 1, side)]
 
 
+_CORPORA = {"small": _small_cases, "sparse": _sparse_cases, "grids": _grid_cases}
+
+
+def _no_worse(g, k: int, old_order, old_states: int) -> int:
+    """The subset search decides (g, k) as an older search did, in no more
+    states, and any order it returns has width <= k; returns its states."""
+    order, states = search_with_states(g, k, None)
+    assert (order is None) == (old_order is None) and states <= old_states, (k, sorted(g.edges))
+    if order is not None:
+        report = verify_tree_decomposition(g, decomposition_from_order(g, order))
+        assert report.valid and report.width <= k, (k, sorted(g.edges))
+    return states
+
+
 def _same_search(g, k: int) -> int:
     """The subset search gives the naive DFS's order and state count, and
     its outcome at each budget; returns that count.  Both searches are
@@ -360,11 +377,11 @@ class TestAgainstNaive:
             assert minor_min_width(g) == naive_minor_min_width(g), sorted(g.edges)
 
     def test_treewidth_order_small(self):
-        assert sum(_same_search(g, k) for g, k in _small_cases()) > 200
+        assert sum(_same_search(g, k) for g, k in _small_cases()) == 94
 
     def test_treewidth_order_sparse(self):
         states = [_same_search(g, k) for g, k in _sparse_cases()]
-        assert sum(states) > 10_000
+        assert sum(states) == 3930
         assert states[-1] > 0  # the graph among isolated vertices
 
     @pytest.mark.parametrize("side", [3, 4, 5])
@@ -374,17 +391,28 @@ class TestAgainstNaive:
 
     @pytest.mark.parametrize("corpus, floor", [("small", 1000), ("sparse", 50_000), ("grids", 500_000)])
     def test_treewidth_order_matches_degree_one_rule(self, corpus, floor):
-        """Branching on an almost simplicial first candidate alone keeps the
-        orders and decisions of the search that did so only at fill degree
-        <= 1, in no more states; that search still walks `floor` states."""
-        cases = {"small": _small_cases, "sparse": _sparse_cases, "grids": _grid_cases}[corpus]()
+        """Branching on an almost simplicial candidate alone keeps the
+        decisions of the search that did so only with a first candidate of
+        fill degree <= 1, in no more states, and each order it returns has
+        width <= k; that search still walks `floor` states."""
         walked = 0
-        for g, k in cases:
-            order, states = search_with_states(g, k, None)
+        for g, k in _CORPORA[corpus]():
             old_order, old_states = naive_search_degree_one(g, k, None)
-            assert order == old_order and states <= old_states, (k, sorted(g.edges))
+            _no_worse(g, k, old_order, old_states)
             walked += old_states
         assert walked > floor
+
+    @pytest.mark.parametrize("corpus, spared", [("small", 131), ("sparse", 7644), ("grids", 0)])
+    def test_treewidth_order_against_first_candidate_rule(self, corpus, spared):
+        """Testing every candidate for almost-simpliciality, not only the
+        first, keeps each decision of the search that tested the first, in
+        no more states, and each order it returns has width <= k; `spared`
+        counts the states it saves."""
+        saved = 0
+        for g, k in _CORPORA[corpus]():
+            old_order, old_states = naive_search_first_candidate(g, k, None)
+            saved += old_states - _no_worse(g, k, old_order, old_states)
+        assert saved == spared
 
     def test_verifier_verdicts_and_messages(self):
         rng = random.Random(4242)
@@ -417,18 +445,40 @@ class TestScale:
         assert r.width == 5 and r.expanded == 22
         assert time.perf_counter() - start < 0.5
 
-    def test_grid6_search_state_cost(self):
-        # every fill degree was a fresh walk through the eliminated set: about 9 s on a 2-core x86-64 VM
+    def test_grid7_search_state_cost(self):
+        # every fill degree was a fresh walk through the eliminated set: about 9 s on a 2-core x86-64 VM;
+        # testing every candidate for almost-simpliciality costs about 11 us a state there (5 us when
+        # only the first was tested)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            treewidth_order(grid_graph(6), 5, budget=200_000)
+            treewidth_order(grid_graph(7), 5, budget=200_000)
         assert time.perf_counter() - start < 4.0
+
+    def test_grid6_is_exact(self):
+        # with only the first candidate tested, k = 5 was still undecided after 3 million states (25 s)
+        start = time.perf_counter()
+        r = treewidth_exact(grid_graph(6), 200_000)
+        assert (r.status, r.width, r.lb, r.ub) == ("exact", 6, 6, 6)
+        assert time.perf_counter() - start < 2.0
+        assert verify_tree_decomposition(grid_graph(6), r.decomposition).width == 6
 
     def test_exact_on_a_grid_with_a_1200_vertex_tail(self):
         # one Python frame per eliminated vertex raised RecursionError in 0.2 s
         r = treewidth_exact(grid_with_tail())
         assert r.status == "exact" and r.width == 5
         assert verify_tree_decomposition(grid_with_tail(), r.decomposition).width == 5
+
+    def test_grid_with_a_2400_vertex_tail_in_bounded_memory(self):
+        # every child copied its parent's fill and degree rows: a 94.6 MB traced peak
+        g = grid_with_tail(5, 2400)
+        tracemalloc.start()
+        try:
+            r = treewidth_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.status == "exact" and r.width == 5
+        assert peak < 20e6, peak
 
     @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
     def test_exact_on_5000_vertices(self, g):
