@@ -218,7 +218,8 @@ def _almost_simplicial(fill: list[int], v: int) -> bool:
         w = m & -m
         m ^= w
         miss = row & ~w & ~fill[w.bit_length() - 1]
-        if miss:  # c lies on the first non-edge {w, x}; the vertices before w miss nothing
+        if miss:  # c lies on the first non-edge {w, x}; the vertices before w miss nothing,
+            # and c = x needs w to miss x alone
             x = miss & -miss
             return _clique(fill, row & ~w, m) or (miss == x and _clique(fill, row & ~x, m & ~x))
     return True
