@@ -447,8 +447,8 @@ class TestScale:
 
     def test_grid7_search_state_cost(self):
         # every fill degree was a fresh walk through the eliminated set: about 9 s on a 2-core x86-64 VM;
-        # testing every candidate for almost-simpliciality costs about 11 us a state there (5 us when
-        # only the first was tested)
+        # testing every candidate for almost-simpliciality costs 7-11 us a state there (5 us when only
+        # the first was tested)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             treewidth_order(grid_graph(7), 5, budget=200_000)
@@ -469,7 +469,7 @@ class TestScale:
         assert verify_tree_decomposition(grid_with_tail(), r.decomposition).width == 5
 
     def test_grid_with_a_2400_vertex_tail_in_bounded_memory(self):
-        # every child copied its parent's fill and degree rows: a 94.6 MB traced peak
+        # every child copied its parent's fill and degree rows: a 99.6 MB traced peak
         g = grid_with_tail(5, 2400)
         tracemalloc.start()
         try:
