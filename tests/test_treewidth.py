@@ -468,9 +468,9 @@ class TestScale:
         assert r.status == "exact" and r.width == 5
         assert verify_tree_decomposition(grid_with_tail(), r.decomposition).width == 5
 
-    def test_grid_with_a_2400_vertex_tail_in_bounded_memory(self):
-        # every child copied its parent's fill and degree rows: a 99.6 MB traced peak
-        g = grid_with_tail(5, 2400)
+    def test_grid_with_a_1200_vertex_tail_in_bounded_memory(self):
+        # every child copied its parent's fill and degree rows: a 25.9 MB traced peak
+        g = grid_with_tail()
         tracemalloc.start()
         try:
             r = treewidth_exact(g)
@@ -478,7 +478,7 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert r.status == "exact" and r.width == 5
-        assert peak < 20e6, peak
+        assert peak < 10e6, peak
 
     @pytest.mark.parametrize("g", [path_graph(5000), random_tree(random.Random(5000), 5000)], ids=["path", "tree"])
     def test_exact_on_5000_vertices(self, g):
