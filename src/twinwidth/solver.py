@@ -20,11 +20,11 @@ the degree classes.  Merges over the width bound are pruned, the rest
 sorted, and a child's parts and rows are built only when the walk asks
 for it and its partition is not yet visited.
 
-The heuristics walk the same rows without backtracking: greedy is the
-search's first branch at unbounded width, found by stepping the bound up
-from the width so far until some merge is admitted, and the width-0 path
-merges the first twin pair until none is left.  `sequences` replays
-every certificate and shares no code with this module.
+Both heuristics are one loop on the same rows: greedy is the search's
+first branch at unbounded width, stepping the bound up from the width so
+far, and the width-0 path is greedy capped at 0.  With no red edge the
+best merge is the first twin pair, found without scoring.  `sequences`
+replays every certificate and shares no code with this module.
 """
 
 from dataclasses import dataclass
@@ -182,52 +182,55 @@ def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> Exact
     return ExactResult("exceeds-cap", None, None, total)
 
 
-def twinwidth_zero(g: Graph) -> ContractionSequence | None:
-    """Width-0 fast path: repeatedly contract the first twin pair in
-    certificate id order.  Succeeds exactly on cographs; the certificate
-    merges only twins, so it verifies at width 0.
-    """
+def _first_twins(adjs: list[int]) -> tuple[int, int] | None:
+    """The first twin positions i < j of rows with no red edge: false twins
+    share a row, true twins a row plus their own bit (keyed apart by ~)."""
+    first: dict[int, int] = {}
+    pairs = [(first.setdefault(key, j), j) for j, a in enumerate(adjs) for key in (a, ~(a | 1 << j))]
+    return min(((i, j) for i, j in pairs if i < j), default=None)
+
+
+def _greedy(g: Graph, cap: int) -> ContractionSequence | None:
+    """`greedy_sequence`'s certificate, or None once a step needs a width
+    above `cap`.  With no red edge a merge leaves none iff its parts are
+    twins, so the first twin pair is the best merge; positions are in
+    certificate id order, since the product goes last."""
     n = g.n
     exts, adjs, reds = list(range(n)), _singleton_rows(g), [0] * n
     steps: list[tuple[int, int]] = []
+    width = 0
     while len(exts) > 1:
-        # with no red edge, parts i, j are twins iff their rows agree outside {i, j};
-        # positions are in certificate id order, since the product goes last
-        hit = next(
-            ((i, j) for i in range(len(adjs)) for j in range(i + 1, len(adjs))
-             if not (adjs[i] ^ adjs[j]) & ~(1 << i) & ~(1 << j)),
-            None,
-        )
-        if hit is None:
-            return None
-        i, j = hit
+        red = any(reds)
+        if not red and (twins := _first_twins(adjs)):
+            (i, j), merged_red = twins, 0
+        else:
+            # the smallest merge under the lowest bound admitting any, stepped
+            # up from the width so far, and from 1 if no red edge or twin is left
+            width = max(width, 0 if red else 1)
+            while width <= cap and not (scored := _scored(exts, adjs, reds, width)):
+                width += 1
+            if width > cap:
+                return None
+            _, _, i, j, merged_red = min(scored)
         steps.append((exts[i], exts[j]))
-        adjs, reds = _child_rows(adjs, reds, i, j, 0)
+        adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
         exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
-    seq = sequence_from_pairs(n, steps)
-    if verify_width(g, seq) != 0:
+    return sequence_from_pairs(n, steps)
+
+
+def twinwidth_zero(g: Graph) -> ContractionSequence | None:
+    """Width-0 fast path: greedy capped at width 0, which merges the first
+    twin pair until none is left.  Succeeds exactly on cographs, with a
+    certificate that merges only twins and so verifies at width 0."""
+    seq = _greedy(g, 0)
+    if seq is not None and verify_width(g, seq) != 0:
         raise AssertionError("twin contraction produced a red edge")
     return seq
 
 
 def greedy_sequence(g: Graph) -> tuple[ContractionSequence, int]:
     """The search's first branch at unbounded width: at each step contract
-    the pair minimizing the resulting maximum red degree, ties broken by
-    the smallest certificate id pair.  Returns the certificate and its
-    replay-verified width.
-    """
-    n = g.n
-    exts, adjs, reds = list(range(n)), _singleton_rows(g), [0] * n
-    steps: list[tuple[int, int]] = []
-    width = 0
-    while len(exts) > 1:
-        # the best merge is the smallest one admitted under the lowest
-        # bound that admits any, stepped up from the width so far
-        while not (scored := _scored(exts, adjs, reds, width)):
-            width += 1
-        _, uv, i, j, merged_red = min(scored)
-        steps.append(uv)
-        adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
-        exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
-    seq = sequence_from_pairs(n, steps)
+    the pair minimizing the resulting maximum red degree, ties broken by the
+    smallest certificate id pair.  Returns it and its replay-verified width."""
+    seq = _greedy(g, g.n)
     return seq, verify_width(g, seq)

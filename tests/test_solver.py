@@ -22,6 +22,7 @@ from twinwidth.graphs import (
     complete_graph,
     contract,
     cycle_graph,
+    graph_from_edges,
     grid_graph,
     max_red_degree,
     path_graph,
@@ -367,6 +368,15 @@ class TestAgainstContractOracles:
             assert (None if s is None else list(s.pairs())) == naive_twin_pairs(g), sorted(g.edges)
         assert all(twinwidth_zero(g) is not None for g in cographs)
 
+    def test_zero_is_greedy_capped_at_zero(self):
+        rng = random.Random(2027)
+        cographs = [random_cograph(rng, rng.randint(1, 30)) for _ in range(100)]
+        for g in random_graphs(2028, 200, 12) + cographs:
+            s, w = greedy_sequence(g)
+            z = twinwidth_zero(g)
+            assert (z is None) == (w > 0), sorted(g.edges)
+            assert z is None or z == s, sorted(g.edges)
+
 
 class TestHeuristicScale:
     def test_zero_on_a_300_vertex_cograph(self):
@@ -375,6 +385,16 @@ class TestHeuristicScale:
         s = twinwidth_zero(g)
         assert time.perf_counter() - start < 2.0
         assert s is not None and verify_width(g, s) == 0
+
+    def test_greedy_on_twin_rich_graphs(self):
+        # scoring every pair at every step took 1.6-6.2 s per graph on a 2-core x86-64 VM
+        graphs = [complete_graph(300), graph_from_edges(300, []), complete_bipartite(150, 150),
+                  random_cograph(random.Random(300), 300)]
+        zero = [twinwidth_zero(g) for g in graphs]
+        start = time.perf_counter()
+        got = [greedy_sequence(g) for g in graphs]
+        assert time.perf_counter() - start < 1.0
+        assert got == [(s, 0) for s in zero]
 
     def test_greedy_on_dense_random_150(self):
         g = random_graph(random.Random(150), 150, 0.3)
