@@ -56,11 +56,6 @@ def _parts_arg(text: str) -> list[int]:
         raise formats.FormatError(1, f"expected comma-separated part ids, got {text!r}") from None
 
 
-def _emit_seed(args) -> None:
-    if getattr(args, "seed", None) is not None:
-        print(f"c seed {args.seed}")
-
-
 # -------------------------------------------------------------------- tww
 
 
@@ -185,14 +180,12 @@ def main_gen(argv=None) -> int:
     for name in ("wall", "mesh", "tww3family", "tww3family-seq", "grid"):
         p = sub.add_parser(name)
         p.add_argument("-N", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None)
         if name == "grid":
             p.add_argument("-M", type=int, default=None, help="columns (defaults to N)")
     args = ap.parse_args(argv)
     try:
         if args.cmd == "wall":
             g, _ = gen_wall(args.N)
-            _emit_seed(args)
             print(formats.write_dimacs(g), end="")
             return 0
         if args.cmd == "mesh":
@@ -202,14 +195,12 @@ def main_gen(argv=None) -> int:
             return 0
         if args.cmd == "tww3family":
             g, _ = gen_tww3_family(args.N)
-            _emit_seed(args)
             print(formats.write_dimacs(g), end="")
             return 0
         if args.cmd == "tww3family-seq":
             print(formats.sequence_to_json(tww3_family_sequence(args.N)), end="")
             return 0
         if args.cmd == "grid":
-            _emit_seed(args)
             print(formats.write_dimacs(grid_graph(args.N, args.M)), end="")
             return 0
     except ValueError as exc:

@@ -100,8 +100,8 @@ def write_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trigraph_to_dot(t: Trigraph, name: str = "trigraph") -> str:
-    lines = [f"graph {name} {{"]
+def trigraph_to_dot(t: Trigraph) -> str:
+    lines = ["graph trigraph {"]
     for v in sorted(t.vertices):
         lines.append(f"  {v};")
     for u, v in sorted(t.black):
@@ -195,7 +195,7 @@ def read_partition(text: str, n: int) -> VertexPartition:
 
 
 def read_pace_td(text: str) -> TreeDecomposition:
-    """PACE-style: `s td <#bags> <width+1> <n>`, `b <id> <v...>`, edges."""
+    """PACE-style: `s td <#bags> <width+1> <n>`, `b <id> <v...>`, edges; bag ids 1..#bags read as 0..#bags-1."""
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges = []
@@ -221,21 +221,26 @@ def read_pace_td(text: str) -> TreeDecomposition:
                 verts = [int(x) for x in parts[2:]]
             except (IndexError, ValueError):
                 raise FormatError(lineno, "malformed bag line") from None
-            if bid in bags:
+            if not 1 <= bid <= header[0]:
+                raise FormatError(lineno, f"bag id {bid} out of range 1..{header[0]}")
+            if bid - 1 in bags:
                 raise FormatError(lineno, f"duplicate bag id {bid}")
             for x in verts:
                 if not (1 <= x <= header[2]):
                     raise FormatError(lineno, f"bag vertex {x} out of range 1..{header[2]}")
-            bags[bid] = frozenset(x - 1 for x in verts)
+            bags[bid - 1] = frozenset(x - 1 for x in verts)
         else:
             if header is None:
                 raise FormatError(lineno, "edge before solution line")
             if len(parts) != 2:
                 raise FormatError(lineno, f"expected a bag-tree edge, got {line!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError(lineno, "non-integer bag id in edge") from None
+            if not (1 <= a <= header[0] and 1 <= b <= header[0]):
+                raise FormatError(lineno, f"bag id out of range 1..{header[0]} in edge {line!r}")
+            edges.append((a - 1, b - 1))
     if header is None:
         raise FormatError(1, "missing solution line")
     if len(bags) != header[0]:
@@ -247,10 +252,10 @@ def read_pace_td(text: str) -> TreeDecomposition:
 
 
 def write_pace_td(td: TreeDecomposition, n: int) -> str:
+    pace = {bid: k for k, (bid, _) in enumerate(sorted(td.bags), 1)}
     lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
-    for bid, bag in sorted(td.bags):
-        lines.append("b " + " ".join([str(bid)] + [str(v + 1) for v in sorted(bag)]))
-    lines.extend(f"{a} {b}" for a, b in sorted(td.edges))
+    lines.extend(" ".join(["b", str(pace[bid]), *(str(v + 1) for v in sorted(bag))]) for bid, bag in sorted(td.bags))
+    lines.extend(f"{pace[a]} {pace[b]}" for a, b in sorted(td.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -111,12 +111,6 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
-    def test_seed_echoed_in_header(self, capsys):
-        assert main_gen(["wall", "-N", "2", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "c seed 7"
-        assert read_dimacs(out).n == 4
-
 
 class TestLab:
     def test_obs31_counts_planted_violation(self, tmp_path, capsys):
@@ -218,6 +212,13 @@ class TestTreewidthCli:
         assert out.splitlines()[0] == "tw: 3"
         td = read_pace_td("\n".join(out.splitlines()[1:]) + "\n")
         assert verify_tree_decomposition(complete_graph(4), td).valid
+
+    def test_pace_bags_numbered_from_one(self, tmp_path, capsys):
+        # `gen wall -N 2 | treewidth -` printed bags 0..3, as "b 0 1 2"
+        f = tmp_path / "wall2.gr"
+        f.write_text("p edge 4 3\ne 1 2\ne 1 3\ne 3 4\n")
+        assert main_treewidth([str(f)]) == 0
+        assert capsys.readouterr().out == "tw: 1\ns td 4 2 4\nb 1 1 2\nb 2 1 3\nb 3 3 4\nb 4 4\n1 2\n2 3\n3 4\n"
 
     def test_budget_prints_bounds_and_states(self, tmp_path, capsys):
         from twinwidth.graphs import grid_graph

@@ -27,7 +27,7 @@ from twinwidth.partitions import partition_from_blocks
 from twinwidth.sequences import ContractionSequence, verify_width
 from twinwidth.solver import greedy_sequence
 from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
-from twinwidth.treewidth import treewidth_exact
+from twinwidth.treewidth import TreeDecomposition, treewidth_exact
 
 
 class TestDimacs:
@@ -356,6 +356,24 @@ class TestPace:
             text = write_pace_td(td, g.n)
             back = read_pace_td(text)
             assert write_pace_td(back, g.n) == text
+
+    def test_bags_numbered_from_one_in_id_order(self):
+        td = TreeDecomposition(((9, frozenset({0, 1})), (4, frozenset({1, 2}))), ((9, 4),))
+        assert write_pace_td(td, 3) == "s td 2 2 3\nb 1 2 3\nb 2 1 2\n2 1\n"
+        assert read_pace_td(write_pace_td(td, 3)) == TreeDecomposition(
+            ((0, frozenset({1, 2})), (1, frozenset({0, 1}))), ((1, 0),)
+        )
+
+    @pytest.mark.parametrize("text, line", [
+        ("s td 2 2 3\nb 0 1 2\nb 1 2 3\n", 2),
+        ("s td 2 2 3\nb 1 1 2\nb 3 2 3\n", 3),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n0 1\n", 5),
+        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n2 3\n", 4),
+    ])
+    def test_bag_ids_outside_one_to_b_name_their_line(self, text, line):
+        with pytest.raises(FormatError) as exc:
+            read_pace_td(text)
+        assert exc.value.line == line and "out of range 1..2" in str(exc.value)
 
     def test_header_checked(self):
         with pytest.raises(FormatError):
