@@ -19,7 +19,6 @@ from .graphs import (
     grid_graph,
     max_red_degree,
     path_graph,
-    red_degree,
     relabel,
     trigraph_from_graph,
 )

@@ -15,7 +15,7 @@ from . import io as formats
 from .graphs import grid_graph
 from .partitions import quotient
 from .pipeline import PipelineResult, WidthBoundMissed, pipeline_certify
-from .sequences import SequenceError, apply_prefix, invert, width_trace
+from .sequences import apply_prefix, invert, width_trace
 from .solver import DEFAULT_BUDGET, decide_twinwidth_at_most, greedy_sequence, twinwidth_exact, twinwidth_zero
 from .structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
 from . import treewidth
@@ -51,9 +51,12 @@ def _graph(path: str):
 
 def _parts_arg(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
+        ids = [int(x) for x in text.split(",")]
     except ValueError:
         raise formats.FormatError(1, f"expected comma-separated part ids, got {text!r}") from None
+    if len(ids) != 4:
+        raise formats.FormatError(1, f"expected four part ids, got {len(ids)}")
+    return ids
 
 
 # -------------------------------------------------------------------- tww
@@ -165,7 +168,7 @@ def main_tww(argv=None) -> int:
                 print(f"black: {sorted(t.black)}")
                 print(f"red: {sorted(t.red)}")
             return 0
-    except (formats.FormatError, SequenceError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unhandled subcommand")
@@ -302,7 +305,7 @@ def main_lab(argv=None) -> int:
     except WidthBoundMissed as exc:
         print(f"error: width bound missed: {exc}", file=sys.stderr)
         return 1
-    except (formats.FormatError, SequenceError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unhandled subcommand")
@@ -325,7 +328,7 @@ def main_treewidth(argv=None) -> int:
         print(f"tw: {r.width}")
         print(formats.write_pace_td(r.decomposition, g.n), end="")
         return 0
-    except (formats.FormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

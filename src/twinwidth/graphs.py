@@ -167,11 +167,6 @@ def trigraph_from_graph(g: Graph) -> Trigraph:
     return Trigraph(frozenset(range(g.n)), g.edges, frozenset())
 
 
-def red_degree(t: Trigraph, v: int) -> int:
-    t._check(v)
-    return len(t.red_adj[v])
-
-
 def max_red_degree(t: Trigraph) -> int:
     return max((len(s) for s in t.red_adj.values()), default=0)
 

@@ -2,8 +2,9 @@
 
 Text formats are 1-indexed (DIMACS-like graphs, partition files, PACE
 decompositions); JSON formats use the certificate id convention directly
-(originals 0..n-1, products n+j).  Every writer's output round-trips
-bit-exactly through the matching reader.
+(originals 0..n-1, products n+j).  Every format with a reader round-trips
+bit-exactly through it.  PACE decompositions are output only: the tree-width
+solver verifies each one before it is written.
 """
 
 import itertools
@@ -194,64 +195,8 @@ def read_partition(text: str, n: int) -> VertexPartition:
 # ---------------------------------------------------------- decompositions
 
 
-def read_pace_td(text: str) -> TreeDecomposition:
-    """PACE-style: `s td <#bags> <width+1> <n>`, `b <id> <v...>`, edges; bag ids 1..#bags read as 0..#bags-1."""
-    header = None
-    bags: dict[int, frozenset[int]] = {}
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise FormatError(lineno, "duplicate solution line")
-            if len(parts) != 5 or parts[1] != "td":
-                raise FormatError(lineno, f"expected 's td <bags> <width+1> <n>', got {line!r}")
-            try:
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise FormatError(lineno, "non-integer value in solution line") from None
-        elif parts[0] == "b":
-            if header is None:
-                raise FormatError(lineno, "bag before solution line")
-            try:
-                bid = int(parts[1])
-                verts = [int(x) for x in parts[2:]]
-            except (IndexError, ValueError):
-                raise FormatError(lineno, "malformed bag line") from None
-            if not 1 <= bid <= header[0]:
-                raise FormatError(lineno, f"bag id {bid} out of range 1..{header[0]}")
-            if bid - 1 in bags:
-                raise FormatError(lineno, f"duplicate bag id {bid}")
-            for x in verts:
-                if not (1 <= x <= header[2]):
-                    raise FormatError(lineno, f"bag vertex {x} out of range 1..{header[2]}")
-            bags[bid - 1] = frozenset(x - 1 for x in verts)
-        else:
-            if header is None:
-                raise FormatError(lineno, "edge before solution line")
-            if len(parts) != 2:
-                raise FormatError(lineno, f"expected a bag-tree edge, got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(lineno, "non-integer bag id in edge") from None
-            if not (1 <= a <= header[0] and 1 <= b <= header[0]):
-                raise FormatError(lineno, f"bag id out of range 1..{header[0]} in edge {line!r}")
-            edges.append((a - 1, b - 1))
-    if header is None:
-        raise FormatError(1, "missing solution line")
-    if len(bags) != header[0]:
-        raise FormatError(1, f"solution line promises {header[0]} bags, file has {len(bags)}")
-    td = TreeDecomposition(tuple(sorted(bags.items())), tuple(edges))
-    if header[1] != td.width + 1:
-        raise FormatError(1, f"solution line promises width {header[1] - 1}, bags give {td.width}")
-    return td
-
-
 def write_pace_td(td: TreeDecomposition, n: int) -> str:
+    """PACE-style: `s td <#bags> <width+1> <n>`, `b <id> <v...>` with bag ids 1..#bags in id order, then tree edges."""
     pace = {bid: k for k, (bid, _) in enumerate(sorted(td.bags), 1)}
     lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
     lines.extend(" ".join(["b", str(pace[bid]), *(str(v + 1) for v in sorted(bag))]) for bid, bag in sorted(td.bags))

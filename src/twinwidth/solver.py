@@ -184,10 +184,18 @@ def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> Exact
 
 def _first_twins(adjs: list[int]) -> tuple[int, int] | None:
     """The first twin positions i < j of rows with no red edge: false twins
-    share a row, true twins a row plus their own bit (keyed apart by ~)."""
+    share a row, true twins a row plus their own bit (keyed apart by ~).
+    Scanned by j, so i's first pair has its least j; (0, j) ends the scan."""
     first: dict[int, int] = {}
-    pairs = [(first.setdefault(key, j), j) for j, a in enumerate(adjs) for key in (a, ~(a | 1 << j))]
-    return min(((i, j) for i, j in pairs if i < j), default=None)
+    best = None
+    for j, a in enumerate(adjs):
+        for key in (a, ~(a | 1 << j)):
+            i = first.setdefault(key, j)
+            if i < j and (best is None or i < best[0]):
+                if i == 0:
+                    return 0, j
+                best = i, j
+    return best
 
 
 def _greedy(g: Graph, cap: int) -> ContractionSequence | None:

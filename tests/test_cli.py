@@ -8,11 +8,11 @@ import pytest
 import twinwidth
 from twinwidth.cli import main_gen, main_lab, main_treewidth, main_tww, main
 from corpus import grid_with_tail, write_partition
-from twinwidth.io import read_dimacs, read_pace_td, sequence_from_json, write_dimacs
+from twinwidth.io import read_dimacs, sequence_from_json, write_dimacs, write_pace_td
 from twinwidth.graphs import cycle_graph, path_graph
 from twinwidth.partitions import partition_from_blocks
 from twinwidth.sequences import verify_width
-from twinwidth.treewidth import verify_tree_decomposition
+from twinwidth.treewidth import treewidth_exact, verify_tree_decomposition
 
 
 @pytest.fixture
@@ -172,6 +172,18 @@ class TestLab:
         out = capsys.readouterr().out
         assert out.startswith("audit: contradiction-found at 6")
 
+    @pytest.mark.parametrize("argv, count", [
+        (["witness", "{g}", "{p}", "--parts", "1,2,3", "-t", "1"], 3),
+        (["audit", "{g}", "{s}", "--witness-at", "0", "--parts", "1,2,3,4,5", "-t", "1"], 5),
+    ])
+    def test_parts_must_name_four_ids(self, argv, count, tmp_path, capsys):
+        files = {"g": write_dimacs(cycle_graph(4)), "p": "1\n2\n3\n4\n",
+                 "s": '{"n": 4, "steps": [{"u": 0, "v": 1}, {"u": 2, "v": 3}, {"u": 4, "v": 5}]}\n'}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main_lab([a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: line 1: expected four part ids, got {count}\n"
+
     def test_step1_parses_and_reports(self, tmp_path, capsys):
         import sys
 
@@ -208,10 +220,9 @@ class TestTreewidthCli:
         f = tmp_path / "k4.gr"
         f.write_text(write_dimacs(complete_graph(4)))
         assert main_treewidth([str(f)]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "tw: 3"
-        td = read_pace_td("\n".join(out.splitlines()[1:]) + "\n")
+        td = treewidth_exact(complete_graph(4)).decomposition
         assert verify_tree_decomposition(complete_graph(4), td).valid
+        assert capsys.readouterr().out == "tw: 3\n" + write_pace_td(td, 4)
 
     def test_pace_bags_numbered_from_one(self, tmp_path, capsys):
         # `gen wall -N 2 | treewidth -` printed bags 0..3, as "b 0 1 2"

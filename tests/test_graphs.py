@@ -17,7 +17,6 @@ from twinwidth.graphs import (
     max_red_degree,
     pair,
     path_graph,
-    red_degree,
     relabel,
     trigraph_from_graph,
     Trigraph,
@@ -94,17 +93,11 @@ class TestContract:
 class TestRedDegree:
     def test_all_black_graph(self):
         t = trigraph_from_graph(complete_graph(4))
-        assert all(red_degree(t, v) == 0 for v in range(4))
         assert max_red_degree(t) == 0
 
     def test_red_path_interior(self):
         t = Trigraph(frozenset(range(4)), frozenset(), frozenset([(0, 1), (1, 2), (2, 3)]))
         assert max_red_degree(t) == 2
-        assert red_degree(t, 0) == 1
-
-    def test_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            red_degree(trigraph_from_graph(path_graph(2)), 5)
 
 
 def _relabel_trigraph(t: Trigraph, perm) -> Trigraph:

@@ -14,7 +14,6 @@ from twinwidth.io import (
     mesh_from_json,
     mesh_to_json,
     read_dimacs,
-    read_pace_td,
     read_partition,
     sequence_from_json,
     sequence_to_json,
@@ -27,7 +26,7 @@ from twinwidth.partitions import partition_from_blocks
 from twinwidth.sequences import ContractionSequence, verify_width
 from twinwidth.solver import greedy_sequence
 from twinwidth.structure import gen_tww3_family, gen_wall, tww3_family_sequence, wall_to_mesh
-from twinwidth.treewidth import TreeDecomposition, treewidth_exact
+from twinwidth.treewidth import TreeDecomposition
 
 
 class TestDimacs:
@@ -298,12 +297,6 @@ def _token_lines(tokens):
 
 
 _PARTITION_TEXTS = _token_lines(["1", "2", "3", "4", "5", "0", "-1", "x", "c", "1.5"])
-_PACE_TEXTS = st.one_of(
-    _token_lines(["s", "td", "b", "c", "0", "1", "2", "3", "4", "-1", "x"]),
-    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), _token_lines(["b", "1", "2", "3", "4", "0", "x"])).map(
-        lambda t: f"s td {t[0]} {t[1]} {t[2]}\n{t[3]}"
-    ),
-)
 _MESH_TEXTS = st.one_of(
     st.fixed_dictionaries(
         {"N": st.integers(-1, 3) | _JSON, "rows": st.lists(st.lists(st.integers(-1, 9)), max_size=3) | _JSON,
@@ -316,7 +309,7 @@ _MESH_TEXTS = st.one_of(
 
 class TestReadersAreTotal:
     """Each text parses, or raises FormatError with a line number.  The
-    three readers already behaved so; these tests pin it."""
+    two readers already behaved so; these tests pin it."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 5), _PARTITION_TEXTS)
@@ -329,16 +322,6 @@ class TestReadersAreTotal:
             assert read_partition(write_partition(p), n) == p
 
     @settings(max_examples=300, deadline=None)
-    @given(_PACE_TEXTS)
-    @example("s td 0 0 3\n")
-    @example("s td 1 2 3\nb 1 1 3\n1 1\n")
-    def test_pace_td(self, text):
-        td = _parses_or_names_a_line(read_pace_td, text)
-        if td is not None:
-            n = max((v + 1 for _, bag in td.bags for v in bag), default=0)
-            assert read_pace_td(write_pace_td(td, n)) == td
-
-    @settings(max_examples=300, deadline=None)
     @given(_MESH_TEXTS)
     @example('{"N": 1, "rows": [[0, 1]], "cols": [[1, 0]]}')
     def test_mesh(self, text):
@@ -348,38 +331,9 @@ class TestReadersAreTotal:
 
 
 class TestPace:
-    def test_round_trip(self):
-        rng = random.Random(46)
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(1, 9))
-            td = treewidth_exact(g).decomposition
-            text = write_pace_td(td, g.n)
-            back = read_pace_td(text)
-            assert write_pace_td(back, g.n) == text
-
     def test_bags_numbered_from_one_in_id_order(self):
         td = TreeDecomposition(((9, frozenset({0, 1})), (4, frozenset({1, 2}))), ((9, 4),))
         assert write_pace_td(td, 3) == "s td 2 2 3\nb 1 2 3\nb 2 1 2\n2 1\n"
-        assert read_pace_td(write_pace_td(td, 3)) == TreeDecomposition(
-            ((0, frozenset({1, 2})), (1, frozenset({0, 1}))), ((1, 0),)
-        )
-
-    @pytest.mark.parametrize("text, line", [
-        ("s td 2 2 3\nb 0 1 2\nb 1 2 3\n", 2),
-        ("s td 2 2 3\nb 1 1 2\nb 3 2 3\n", 3),
-        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n0 1\n", 5),
-        ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n2 3\n", 4),
-    ])
-    def test_bag_ids_outside_one_to_b_name_their_line(self, text, line):
-        with pytest.raises(FormatError) as exc:
-            read_pace_td(text)
-        assert exc.value.line == line and "out of range 1..2" in str(exc.value)
-
-    def test_header_checked(self):
-        with pytest.raises(FormatError):
-            read_pace_td("s td 1 2 3\nb 1 1\n")  # header promises width 1, bag gives 0
-        with pytest.raises(FormatError):
-            read_pace_td("b 1 1\n")
 
 
 class TestMeshJson:
