@@ -8,25 +8,36 @@ be skipped forever.  Branches are ordered by the child's maximum red
 degree, then by the lexicographically smallest certificate pair, which
 makes YES certificates and UNKNOWN outcomes deterministic.
 
-A state is a list of parts, each a bitmask over original vertices, with
-two quotient rows per part, bitmasks over part positions: `adjs` (parts
-joined by any edge) and `reds` (red joins).  A merge of parts i, j is
-scored from these rows alone: the merged part is black to w iff both are,
-unjoined iff neither is joined, else red, and since red rows lie inside
-adjacency rows its red row is (ai ^ aj) | ri | rj, three operations.
-A row red to i or j stays red to the merged part, so every other row's
-red degree moves by +1, 0 or -1, and the largest of them is read off
-the degree classes.  Merges over the width bound are pruned, the rest
-sorted, and a child's parts and rows are built only when the walk asks
-for it and its partition is not yet visited.
+A part keeps its slot for life: a product takes the higher slot of its
+pair, so slot s holds the part whose largest vertex is s, and the memo
+key, the live parts' vertex masks in slot order, is sorted.  Each slot
+has two quotient rows, bitmasks over slots: `adjs` (parts joined by any
+edge) and `reds` (red joins); `live` lists the slots in certificate-id
+order.  A merge rewrites only its pair's rows and their neighbours'.
 
-Both heuristics are one loop on the same rows: greedy is the search's
-first branch at unbounded width, stepping the bound up from the width so
-far, and the width-0 path is greedy capped at 0.  With no red edge the
-best merge is the first twin pair, found without scoring.  `sequences`
-replays every certificate and shares no code with this module.
+A merge of parts i, j is scored in two stages.  The merged part is black
+to w iff both are, unjoined iff neither is joined, else red, so its red
+row is (ai ^ aj) | ri | rj, and the first check is that row's size less
+i and j.  It reads rows i and j alone, and a merge leaves the rows of
+every slot it does not touch (the pair and their neighbours) as they
+were, so a child keeps its parent's passing pairs that avoid the touched
+slots and checks afresh only pairs with a touched endpoint.  The second
+stage reads the degree classes of all rows, each of which moves by +1,
+0 or -1, so it is redone for every passing pair.  Merges over the bound
+are pruned, the rest sorted; a child is built only when the walk asks
+for it and its partition is new, and the last child takes over its
+parent's lists.
+
+Both heuristics are one loop on the same rows, merged in place: greedy
+is the search's first branch at unbounded width, stepping the bound up
+from the width so far, and the width-0 path is greedy capped at 0.  A
+pass at a new bound checks every pair, since a pair failing one bound
+may pass the next.  With no red edge the best merge is the first twin
+pair, found without scoring.  `sequences` replays every certificate and
+shares no code with this module.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_rows
@@ -34,6 +45,8 @@ from .search import walk
 from .sequences import ContractionSequence, sequence_from_pairs, verify_width
 
 DEFAULT_BUDGET = 10**7
+
+Pair = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -58,73 +71,81 @@ def _singleton_rows(g: Graph) -> list[int]:
     return adjacency_rows(g)
 
 
-def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
-    """(maxdeg, certificate pair, i, j, merged red row) for every merge of
-    parts i < j that keeps the red degree <= d, unsorted; the tuple order is
-    the search order, and the certificate pair decides every tie.  Parts are
-    positions: exts holds their certificate ids, adjs and reds their
-    quotient rows.  Scores from the parents' rows only; builds no child.
-    The merged red row is (ai ^ aj) | ri | rj, pruned on its size first,
-    and every other row's red degree moves by +1, 0 or -1."""
-    p = len(reds)
-    by_deg: dict[int, int] = {}
-    for w, r in enumerate(reds):
-        k = r.bit_count()
-        by_deg[k] = by_deg.get(k, 0) | 1 << w
-    classes = sorted(by_deg.items(), reverse=True)
-    full = (1 << p) - 1
-    out = []
-    for i in range(p):
-        ai, ri = adjs[i], reds[i]
-        for j in range(i + 1, p):
-            rj = reds[j]
+def _first_checks(kept: list[Pair], touched: int, live: list[int], adjs: list[int], reds: list[int], d: int) -> list[Pair]:
+    """The pairs of live slots i < j whose first check passes bound d, as
+    (bits of i and j, i, j, check, merged red row less i and j): the kept
+    pairs that avoid the touched slots, and every pair with a touched
+    endpoint checked afresh; `touched` -1 checks every pair."""
+    out = [pair for pair in kept if not pair[0] & touched]
+    fresh = [i for i in live if touched >> i & 1]
+    cands = fresh + [j for j in live if not touched >> j & 1]
+    for x, i in enumerate(fresh, 1):
+        ai, ri, bi = adjs[i], reds[i], 1 << i
+        for j in cands[x:]:
             # red to the merged part: joined to exactly one of i, j, or red to
             # either; bits i and j are both set iff i and j are joined
-            merged = (ai ^ adjs[j]) | ri | rj
-            maxdeg = merged.bit_count() - 2 * (ai >> j & 1)
-            if maxdeg > d:
-                continue
-            keep = full ^ (1 << i) ^ (1 << j)
-            merged &= keep
-            up = merged & ~(ri | rj)  # +1: newly red to the merged part
-            both = ri & rj  # -1: red to both; every other row stays
-            # walk the degree classes down while one can still raise maxdeg
-            for k, rows in classes:
-                if k < maxdeg:
-                    break
-                rows &= keep
-                if rows & up:
-                    maxdeg = k + 1
-                elif rows & ~both:
-                    maxdeg = k
-                elif rows:
-                    maxdeg = max(maxdeg, k - 1)
-            if maxdeg > d:
-                continue
+            merged = (ai ^ adjs[j]) | ri | reds[j]
+            check = merged.bit_count() - 2 * (ai >> j & 1)
+            if check <= d:
+                bits = bi | 1 << j
+                merged &= ~bits
+                out.append((bits, i, j, check, merged) if i < j else (bits, j, i, check, merged))
+    return out
+
+
+def _ranked(pairs: list[Pair], exts: list[int], live: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
+    """(maxdeg, certificate pair, i, j, merged red row) for every passing
+    pair whose merge keeps every red degree <= d, unsorted; the tuple order
+    is the search order, and the certificate pair decides every tie.  A row
+    with no red edge cannot raise maxdeg, so no class holds it."""
+    by_deg: dict[int, int] = {}
+    for w in live:
+        if r := reds[w]:
+            k = r.bit_count()
+            by_deg[k] = by_deg.get(k, 0) | 1 << w
+    classes = sorted(by_deg.items(), reverse=True)
+    out = []
+    for bits, i, j, maxdeg, merged in pairs:
+        ri, rj = reds[i], reds[j]
+        up = merged & ~(ri | rj)  # +1: newly red to the merged part
+        both = ri & rj  # -1: red to both; every other row stays
+        # walk the degree classes down while one can still raise maxdeg
+        for k, rows in classes:
+            if k < maxdeg:
+                break
+            rows &= ~bits
+            if rows & up:
+                maxdeg = k + 1
+            elif rows & ~both:
+                maxdeg = k
+            elif rows:
+                maxdeg = max(maxdeg, k - 1)
+        if maxdeg <= d:
             a, b = exts[i], exts[j]
             out.append((maxdeg, (a, b) if a < b else (b, a), i, j, merged))
     return out
 
 
-def _child_rows(adjs: list[int], reds: list[int], i: int, j: int, merged_red: int) -> tuple[list[int], list[int]]:
-    """The quotient rows after merging parts i < j, whose merged red row
-    `_scored` gave: positions shift down past i and j, the merged part
-    goes last.  Every row is rebuilt, with the shifts inlined; an empty
-    red row needs none."""
-    p = len(reds)
-    low, mid, top = (1 << i) - 1, (1 << (j - i - 1)) - 1, 1 << (p - 2)
-    i1, j1, jm = i + 1, j + 1, j - 1
-    merged_adj = (adjs[i] | adjs[j]) & ~(1 << i | 1 << j)
-    new_adjs, new_reds = [], []
-    for w, (a, r) in enumerate(zip(adjs, reds)):
-        if w != i and w != j:
-            new_adjs.append((a & low) | ((a >> i1) & mid) << i | (a >> j1) << jm | (top if merged_adj >> w & 1 else 0))
-            if r:
-                r = (r & low) | ((r >> i1) & mid) << i | (r >> j1) << jm
-            new_reds.append(r | top if merged_red >> w & 1 else r)
-    new_adjs.append((merged_adj & low) | ((merged_adj >> i1) & mid) << i | (merged_adj >> j1) << jm)
-    new_reds.append((merged_red & low) | ((merged_red >> i1) & mid) << i | (merged_red >> j1) << jm)
-    return new_adjs, new_reds
+def _merge(exts: list[int], live: list[int], adjs: list[int], reds: list[int], i: int, j: int, merged_red: int, ext: int) -> int:
+    """Merges slots i < j in place: the product, id ext, takes slot j and
+    slot i dies.  Returns the touched slots: i, j and their neighbours."""
+    bi, bj = 1 << i, 1 << j
+    gone = ~(bi | bj)
+    nbrs = (adjs[i] | adjs[j]) & gone
+    m = nbrs
+    while m:
+        b = m & -m
+        w = b.bit_length() - 1
+        m ^= b
+        adjs[w] = adjs[w] & ~bi | bj
+        r = reds[w] & gone
+        reds[w] = r | bj if merged_red & b else r
+    adjs[i] = reds[i] = 0
+    adjs[j], reds[j], exts[j] = nbrs, merged_red, ext
+    live.remove(i)
+    live.remove(j)
+    live.append(j)
+    return nbrs | bi | bj
 
 
 def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> DecideResult:
@@ -138,23 +159,30 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
         raise ValueError("width bound must be nonnegative")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    adjs = _singleton_rows(g)
     n = g.n
     visited: set[tuple[int, ...]] = set()
 
     def children(state):
-        masks, exts, adjs, reds = state
-        next_ext = 2 * n - len(masks)
-        for _, uv, i, j, merged_red in sorted(_scored(exts, adjs, reds, d)):
-            new_masks = masks[:i] + masks[i + 1:j] + masks[j + 1:]
-            new_masks.append(masks[i] | masks[j])
-            key = tuple(sorted(new_masks))
-            if key not in visited:
-                visited.add(key)
-                new_exts = exts[:i] + exts[i + 1:j] + exts[j + 1:]
-                new_exts.append(next_ext)
-                yield uv, (new_masks, new_exts, *_child_rows(adjs, reds, i, j, merged_red))
+        key, exts, live, adjs, reds, pairs = state
+        scored = sorted(_ranked(pairs, exts, live, reds, d))
+        ext = 2 * n - len(live)
+        last = scored[-1][1] if scored else None
+        for _, uv, i, j, merged_red in scored:
+            # the key lists the parts by slot, and slot s's is its first mask >= 1 << s
+            a, b = bisect_left(key, 1 << i), bisect_left(key, 1 << j)
+            child = (*key[:a], *key[a + 1:b], key[a] | key[b], *key[b + 1:])
+            if child not in visited:
+                visited.add(child)
+                # the last child takes over the lists, which are never read again
+                rows = (exts, live, adjs, reds) if uv == last else (exts[:], live[:], adjs[:], reds[:])
+                touched = _merge(*rows, i, j, merged_red, ext)
+                yield uv, (child, *rows, _first_checks(pairs, touched, *rows[1:], d))
 
-    root = ([1 << v for v in range(n)], list(range(n)), _singleton_rows(g), [0] * n)
+    live, reds = list(range(n)), [0] * n
+    # from a list: tuple() resizes a generator's tuple, which would add one
+    # to CPython's free list of n-tuples per call, a list nothing drains
+    root = (tuple([1 << v for v in range(n)]), list(range(n)), live, adjs, reds, _first_checks([], -1, live, adjs, reds, d))
     steps, expanded = walk(root, n - 1, children, budget)
     if steps is not None:
         seq = sequence_from_pairs(n, steps)
@@ -182,47 +210,53 @@ def twinwidth_exact(g: Graph, d_cap: int, budget: int = DEFAULT_BUDGET) -> Exact
     return ExactResult("exceeds-cap", None, None, total)
 
 
-def _first_twins(adjs: list[int]) -> tuple[int, int] | None:
-    """The first twin positions i < j of rows with no red edge: false twins
-    share a row, true twins a row plus their own bit (keyed apart by ~).
-    Scanned by j, so i's first pair has its least j; (0, j) ends the scan."""
+def _first_twins(live: list[int], adjs: list[int]) -> tuple[int, int] | None:
+    """The slots of the first twin pair in certificate-id order, in rows with
+    no red edge: false twins share a row, true twins a row plus their own
+    bit (keyed apart by ~).  Scanned by position in `live`, so position p's
+    first pair has its least partner; a pair at position 0 ends the scan."""
     first: dict[int, int] = {}
     best = None
-    for j, a in enumerate(adjs):
-        for key in (a, ~(a | 1 << j)):
-            i = first.setdefault(key, j)
-            if i < j and (best is None or i < best[0]):
-                if i == 0:
-                    return 0, j
-                best = i, j
-    return best
+    for q, s in enumerate(live):
+        a = adjs[s]
+        for key in (a, ~(a | 1 << s)):
+            p = first.setdefault(key, q)
+            if p < q and (best is None or p < best[0]):
+                if p == 0:
+                    return live[0], s
+                best = p, q
+    return best and (live[best[0]], live[best[1]])
 
 
 def _greedy(g: Graph, cap: int) -> ContractionSequence | None:
     """`greedy_sequence`'s certificate, or None once a step needs a width
     above `cap`.  With no red edge a merge leaves none iff its parts are
-    twins, so the first twin pair is the best merge; positions are in
-    certificate id order, since the product goes last."""
+    twins, so the first twin pair is the best merge.  `touched` gathers the
+    slots merges touched since the last first-check pass, at `bound`."""
+    adjs = _singleton_rows(g)
     n = g.n
-    exts, adjs, reds = list(range(n)), _singleton_rows(g), [0] * n
+    exts, live, reds = list(range(n)), list(range(n)), [0] * n
     steps: list[tuple[int, int]] = []
-    width = 0
-    while len(exts) > 1:
+    width, bound, pairs, touched = 0, -1, [], 0
+    while len(live) > 1:
         red = any(reds)
-        if not red and (twins := _first_twins(adjs)):
-            (i, j), merged_red = twins, 0
+        if not red and (twins := _first_twins(live, adjs)):
+            (i, j), merged_red = sorted(twins), 0
         else:
             # the smallest merge under the lowest bound admitting any, stepped
             # up from the width so far, and from 1 if no red edge or twin is left
             width = max(width, 0 if red else 1)
-            while width <= cap and not (scored := _scored(exts, adjs, reds, width)):
+            while width <= cap:
+                pairs = _first_checks(pairs, touched if width == bound else -1, live, adjs, reds, width)
+                bound, touched = width, 0
+                if scored := _ranked(pairs, exts, live, reds, width):
+                    break
                 width += 1
-            if width > cap:
+            else:
                 return None
             _, _, i, j, merged_red = min(scored)
         steps.append((exts[i], exts[j]))
-        adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
-        exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
+        touched |= _merge(exts, live, adjs, reds, i, j, merged_red, n + len(steps) - 1)
     return sequence_from_pairs(n, steps)
 
 

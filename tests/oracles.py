@@ -2,7 +2,10 @@
 
 Kept deliberately naive and separate from the library code paths: the
 twin-width brute force enumerates raw (u,v)-choice trees with no
-memoization, and the naive decision recurses one frame per level; the greedy and twin-merge oracles rebuild an immutable
+memoization, and the naive decision recurses one frame per level on the
+solver's old positional kernel, which scores every pair afresh at every
+step and shifts every row, as does the positional greedy; the greedy and
+twin-merge oracles rebuild an immutable
 trigraph with `graphs.contract` for every pair they score; the
 tree-width oracle is a top-down set-based recursion, and the naive
 subset DFS walks the eliminated set afresh for every fill degree and
@@ -31,7 +34,16 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from twinwidth.connectivity import max_disjoint_paths, min_vertex_cut
-from twinwidth.graphs import Graph, Trigraph, contract, graph_from_edges, max_red_degree, pair, trigraph_from_graph
+from twinwidth.graphs import (
+    Graph,
+    Trigraph,
+    adjacency_rows,
+    contract,
+    graph_from_edges,
+    max_red_degree,
+    pair,
+    trigraph_from_graph,
+)
 from twinwidth.io import FormatError, _int, _load_json
 from twinwidth.partitions import PartitionedTrigraph, VertexPartition, quotient, split_part
 from twinwidth.sequences import (
@@ -46,7 +58,7 @@ from twinwidth.sequences import (
     uncontraction_from_splits,
     verify_width,
 )
-from twinwidth.solver import DEFAULT_BUDGET, DecideResult, _child_rows, _scored, _singleton_rows
+from twinwidth.solver import DEFAULT_BUDGET, DecideResult
 from twinwidth.structure import MeshEmbedding, verify_mesh
 from twinwidth.treewidth import BudgetExceeded, TDReport, TreeDecomposition
 from twinwidth.witness import (
@@ -134,10 +146,131 @@ def bf_twinwidth(g: Graph) -> int:
     return d
 
 
+# ------------------------------------------- the positional scoring kernel
+# The solver's kernel before stable slots, kept verbatim: parts are list
+# positions in certificate-id order, every pair is scored from scratch at
+# every step, and every row is rebuilt with its positions shifted.
+
+
+def _scored(exts: list[int], adjs: list[int], reds: list[int], d: int) -> list[tuple[int, tuple[int, int], int, int, int]]:
+    """(maxdeg, certificate pair, i, j, merged red row) for every merge of
+    parts i < j that keeps the red degree <= d, unsorted; the tuple order is
+    the search order, and the certificate pair decides every tie.  Parts are
+    positions: exts holds their certificate ids, adjs and reds their
+    quotient rows.  Scores from the parents' rows only; builds no child.
+    The merged red row is (ai ^ aj) | ri | rj, pruned on its size first,
+    and every other row's red degree moves by +1, 0 or -1."""
+    p = len(reds)
+    by_deg: dict[int, int] = {}
+    for w, r in enumerate(reds):
+        k = r.bit_count()
+        by_deg[k] = by_deg.get(k, 0) | 1 << w
+    classes = sorted(by_deg.items(), reverse=True)
+    full = (1 << p) - 1
+    out = []
+    for i in range(p):
+        ai, ri = adjs[i], reds[i]
+        for j in range(i + 1, p):
+            rj = reds[j]
+            # red to the merged part: joined to exactly one of i, j, or red to
+            # either; bits i and j are both set iff i and j are joined
+            merged = (ai ^ adjs[j]) | ri | rj
+            maxdeg = merged.bit_count() - 2 * (ai >> j & 1)
+            if maxdeg > d:
+                continue
+            keep = full ^ (1 << i) ^ (1 << j)
+            merged &= keep
+            up = merged & ~(ri | rj)  # +1: newly red to the merged part
+            both = ri & rj  # -1: red to both; every other row stays
+            # walk the degree classes down while one can still raise maxdeg
+            for k, rows in classes:
+                if k < maxdeg:
+                    break
+                rows &= keep
+                if rows & up:
+                    maxdeg = k + 1
+                elif rows & ~both:
+                    maxdeg = k
+                elif rows:
+                    maxdeg = max(maxdeg, k - 1)
+            if maxdeg > d:
+                continue
+            a, b = exts[i], exts[j]
+            out.append((maxdeg, (a, b) if a < b else (b, a), i, j, merged))
+    return out
+
+
+def _child_rows(adjs: list[int], reds: list[int], i: int, j: int, merged_red: int) -> tuple[list[int], list[int]]:
+    """The quotient rows after merging parts i < j, whose merged red row
+    `_scored` gave: positions shift down past i and j, the merged part
+    goes last.  Every row is rebuilt, with the shifts inlined; an empty
+    red row needs none."""
+    p = len(reds)
+    low, mid, top = (1 << i) - 1, (1 << (j - i - 1)) - 1, 1 << (p - 2)
+    i1, j1, jm = i + 1, j + 1, j - 1
+    merged_adj = (adjs[i] | adjs[j]) & ~(1 << i | 1 << j)
+    new_adjs, new_reds = [], []
+    for w, (a, r) in enumerate(zip(adjs, reds)):
+        if w != i and w != j:
+            new_adjs.append((a & low) | ((a >> i1) & mid) << i | (a >> j1) << jm | (top if merged_adj >> w & 1 else 0))
+            if r:
+                r = (r & low) | ((r >> i1) & mid) << i | (r >> j1) << jm
+            new_reds.append(r | top if merged_red >> w & 1 else r)
+    new_adjs.append((merged_adj & low) | ((merged_adj >> i1) & mid) << i | (merged_adj >> j1) << jm)
+    new_reds.append((merged_red & low) | ((merged_red >> i1) & mid) << i | (merged_red >> j1) << jm)
+    return new_adjs, new_reds
+
+
+def _first_twins(adjs: list[int]) -> tuple[int, int] | None:
+    """The first twin positions i < j of rows with no red edge: false twins
+    share a row, true twins a row plus their own bit (keyed apart by ~).
+    Scanned by j, so i's first pair has its least j; (0, j) ends the scan."""
+    first: dict[int, int] = {}
+    best = None
+    for j, a in enumerate(adjs):
+        for key in (a, ~(a | 1 << j)):
+            i = first.setdefault(key, j)
+            if i < j and (best is None or i < best[0]):
+                if i == 0:
+                    return 0, j
+                best = i, j
+    return best
+
+
+def positional_greedy(g: Graph, cap: int) -> ContractionSequence | None:
+    """`solver._greedy` on the positional kernel, kept verbatim: greedy's
+    certificate, or None once a step needs a width above `cap`.  With no
+    red edge a merge leaves none iff its parts are
+    twins, so the first twin pair is the best merge; positions are in
+    certificate id order, since the product goes last."""
+    n = g.n
+    exts, adjs, reds = list(range(n)), adjacency_rows(g), [0] * n
+    steps: list[tuple[int, int]] = []
+    width = 0
+    while len(exts) > 1:
+        red = any(reds)
+        if not red and (twins := _first_twins(adjs)):
+            (i, j), merged_red = twins, 0
+        else:
+            # the smallest merge under the lowest bound admitting any, stepped
+            # up from the width so far, and from 1 if no red edge or twin is left
+            width = max(width, 0 if red else 1)
+            while width <= cap and not (scored := _scored(exts, adjs, reds, width)):
+                width += 1
+            if width > cap:
+                return None
+            _, _, i, j, merged_red = min(scored)
+        steps.append((exts[i], exts[j]))
+        adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
+        exts = exts[:i] + exts[i + 1:j] + exts[j + 1:] + [n + len(steps) - 1]
+    return sequence_from_pairs(n, steps)
+
+
 def naive_decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> DecideResult:
     """`solver.decide_twinwidth_at_most` as a recursive closure, one Python
-    frame per level, kept verbatim: the walk must give its statuses,
-    expansions and certificates.  Does g admit a contraction sequence of
+    frame per level, on the positional kernel above, kept verbatim: the
+    walk on stable slots must give its statuses, expansions and
+    certificates.  Does g admit a contraction sequence of
     width <= d?
 
     YES carries a certificate that re-verifies at width <= d; NO means the
@@ -148,8 +281,10 @@ def naive_decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGE
         raise ValueError("width bound must be nonnegative")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if g.n == 0:
+        raise ValueError("twin-width is defined for nonempty graphs")
     n = g.n
-    adj = _singleton_rows(g)
+    adj = adjacency_rows(g)
     visited: set[tuple[int, ...]] = {tuple(1 << v for v in range(n))}
     expanded = 0
     out_of_budget = False

@@ -348,23 +348,26 @@ class TestUsageErrors:
 # (tool, argv) on malformed input; {g} is a valid graph (P4), and the
 # other placeholders name the broken files written by `malformed_files`
 _MALFORMED = [
-    ("tww", ["decide", "-d", "1", "{bad_graph}"]),
-    ("tww", ["exact", "--cap", "1", "{bad_graph}"]),
-    ("tww", ["verify", "--seq", "{dead_seq}", "{g}"]),
-    ("tww", ["zero", "{bad_graph}"]),
-    ("tww", ["greedy", "{bad_graph}"]),
-    ("tww", ["prefix", "-i", "1", "--seq", "{bad_json}", "{g}"]),
-    ("gen", ["wall", "-N", "0"]),
-    ("gen", ["mesh", "-N", "0"]),
-    ("gen", ["tww3family", "-N", "0"]),
-    ("gen", ["tww3family-seq", "-N", "0"]),
-    ("gen", ["grid", "-N", "-1"]),
-    ("lab", ["obs31", "{g}", "{bad_partition}", "-t", "1"]),
-    ("lab", ["witness", "{g}", "{partition}", "--parts", "1,x", "-t", "1"]),
-    ("lab", ["audit", "{g}", "{short_seq}", "--witness-at", "1", "--parts", "0,1,2,3", "-t", "1"]),
-    ("lab", ["step1", "{g}", "{seq}", "{empty_row_mesh}", "-k", "1"]),
-    ("lab", ["pipeline", "{bad_graph}", "-t", "2", "-k", "1"]),
-    ("treewidth", ["{bad_graph}"]),
+    pytest.param("tww", ["decide", "-d", "1", "{bad_graph}"], "line 1: edge before problem line", id="tww decide"),
+    pytest.param("tww", ["exact", "--cap", "1", "{bad_graph}"], "line 1: edge before problem line", id="tww exact"),
+    pytest.param("tww", ["verify", "--seq", "{dead_seq}", "{g}"], "dead or unknown vertex in (0,2)", id="tww verify"),
+    pytest.param("tww", ["zero", "{bad_graph}"], "line 1: edge before problem line", id="tww zero"),
+    pytest.param("tww", ["greedy", "{bad_graph}"], "line 1: edge before problem line", id="tww greedy"),
+    pytest.param("tww", ["prefix", "-i", "1", "--seq", "{bad_json}", "{g}"], "line 2: invalid JSON", id="tww prefix"),
+    pytest.param("gen", ["wall", "-N", "0"], "wall size must be positive", id="gen wall"),
+    pytest.param("gen", ["mesh", "-N", "0"], "mesh size must be positive", id="gen mesh"),
+    pytest.param("gen", ["tww3family", "-N", "0"], "family parameter must be positive", id="gen tww3family"),
+    pytest.param("gen", ["tww3family-seq", "-N", "0"], "family parameter must be positive", id="gen tww3family-seq"),
+    pytest.param("gen", ["grid", "-N", "-1"], "grid sides must be non-negative", id="gen grid"),
+    pytest.param("lab", ["obs31", "{g}", "{bad_partition}", "-t", "1"], "line 1: non-integer vertex id", id="lab obs31"),
+    pytest.param("lab", ["witness", "{g}", "{partition}", "--parts", "1,x", "-t", "1"],
+                 "expected comma-separated part ids, got '1,x'", id="lab witness"),
+    pytest.param("lab", ["audit", "{g}", "{short_seq}", "--witness-at", "1", "--parts", "0,1,2,3", "-t", "1"],
+                 "expected 3 steps, got 0", id="lab audit"),
+    pytest.param("lab", ["step1", "{g}", "{seq}", "{empty_row_mesh}", "-k", "1"], "row is empty", id="lab step1"),
+    pytest.param("lab", ["pipeline", "{bad_graph}", "-t", "2", "-k", "1"], "line 1: edge before problem line",
+                 id="lab pipeline"),
+    pytest.param("treewidth", ["{bad_graph}"], "line 1: edge before problem line", id="treewidth"),
 ]
 
 
@@ -386,13 +389,14 @@ def malformed_files(tmp_path):
     return {name: str(tmp_path / name) for name in texts}
 
 
-@pytest.mark.parametrize("tool,argv", _MALFORMED, ids=[t if t == "treewidth" else f"{t} {a[0]}" for t, a in _MALFORMED])
-def test_malformed_input_exits_one_without_traceback(tool, argv, malformed_files):
+@pytest.mark.parametrize("tool,argv,message", _MALFORMED)
+def test_malformed_input_exits_one_without_traceback(tool, argv, message, malformed_files):
     """Every subcommand, run as a process on malformed input, exits 1
-    with an error line and no traceback."""
+    with an error line naming the fault and no traceback."""
     src = os.path.dirname(os.path.dirname(twinwidth.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cmd = [sys.executable, "-m", "twinwidth", tool, *(a.format(**malformed_files) for a in argv)]
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 1, (done.returncode, done.stderr)
     assert "Traceback" not in done.stderr and done.stderr.startswith("error:"), done.stderr
+    assert message in done.stderr, done.stderr

@@ -4,18 +4,20 @@ import random
 import sys
 import time
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
-from corpus import atlas_graphs, random_cograph, random_graph, random_graphs
+from corpus import atlas_graphs, random_cograph, random_graph, random_graphs, random_tree
 from oracles import (
+    _scored,
     bf_decide_twinwidth,
     bf_twinwidth,
     has_induced_p4,
     naive_decide_twinwidth_at_most,
     naive_greedy_pairs,
     naive_twin_pairs,
+    positional_greedy,
 )
 from twinwidth.graphs import (
     complete_bipartite,
@@ -32,8 +34,6 @@ from twinwidth.graphs import (
 from twinwidth import solver
 from twinwidth.sequences import ReplayState, verify_width, width_trace
 from twinwidth.solver import (
-    _child_rows,
-    _scored,
     decide_twinwidth_at_most,
     greedy_sequence,
     twinwidth_exact,
@@ -238,6 +238,14 @@ class TestDeepSearch:
             sys.setrecursionlimit(limit)
         assert r.status == "yes" and r.expanded == 299
 
+    def test_yes_on_a_1000_vertex_path(self):
+        # scoring every pair at every expansion took 38 s on a 2-core x86-64
+        # VM (20-26 s at 800 vertices); inherited first checks take 0.7 s
+        start = time.perf_counter()
+        r = decide_twinwidth_at_most(path_graph(1000), 1)
+        assert time.perf_counter() - start < 5.0
+        assert r.status == "yes" and r.expanded == 999
+
 
 def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:
     """The quotient rows of trigraph t, parts at the positions of `live`."""
@@ -247,37 +255,62 @@ def _trigraph_rows(t, live: list[int]) -> tuple[list[int], list[int]]:
     return adjs, reds
 
 
+def _slot_rows(t, slot: dict[int, int], n: int) -> tuple[list[int], list[int]]:
+    """The quotient rows of trigraph t over the slots of its vertices, a
+    dead slot's rows empty."""
+    adjs, reds = [0] * n, [0] * n
+    for x in t.vertices:
+        adjs[slot[x]] = sum(1 << slot[y] for y in t.black_adj[x] | t.red_adj[x])
+        reds[slot[x]] = sum(1 << slot[y] for y in t.red_adj[x])
+    return adjs, reds
+
+
+def _ranks(scored) -> list[tuple[int, tuple[int, int]]]:
+    return sorted((deg, uv) for deg, uv, *_ in scored)
+
+
 def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
-    """Checks every merge's score against a contracted trigraph along one
-    random merge path per graph; returns how many merges were scored and
-    in how many some row is red to both merged parts."""
+    """Along one random merge path per graph, checks after every merge that
+    the passing pairs a state inherits, plus its touched pairs checked
+    afresh, are those of a full first-check pass, and that they rank every
+    merge as the positional oracle `_scored` does and as the contracted
+    trigraph's max red degree, at d = 0-3 and unbounded.  Returns how many
+    merges were scored and in how many some row is red to both merged parts."""
     scored = both = 0
     for g in graphs:
         n = g.n
+        bounds = (0, 1, 2, 3, n)
         t = trigraph_from_graph(g)
-        for j in range(n - 1):
-            live = sorted(t.vertices)
-            adjs, reds = _trigraph_rows(t, live)
-            want = {}
-            for a in range(len(live)):
-                for b in range(a + 1, len(live)):
-                    want[live[a], live[b]] = max_red_degree(contract(t, live[a], live[b], n + j))
-            for d in range(4):
-                got = {uv: deg for deg, uv, *_ in _scored(live, adjs, reds, d)}
-                assert got == {uv: deg for uv, deg in want.items() if deg <= d}
-            got = sorted(_scored(live, adjs, reds, n))
-            assert [(deg, uv) for deg, uv, *_ in got] == sorted((deg, uv) for uv, deg in want.items())
-            assert all((live[a], live[b]) == uv for _, uv, a, b, _ in got)
-            scored += len(got)
-            both += sum(1 for _, _, a, b, _ in got if reds[a] & reds[b])
-            u, v = sorted(rng.sample(live, 2))
-            t = contract(t, u, v, n + j)
+        slot = list(range(n))
+        exts, live, adjs, reds = list(range(n)), list(range(n)), solver._singleton_rows(g), [0] * n
+        kept = {d: solver._first_checks([], -1, live, adjs, reds, d) for d in bounds}
+        for x in range(n, 2 * n - 1):
+            ids = [exts[s] for s in live]
+            assert ids == sorted(t.vertices)
+            pos_adjs, pos_reds = _trigraph_rows(t, ids)
+            want = {(a, b): max_red_degree(contract(t, a, b, x)) for a, b in combinations(ids, 2)}
+            for d in bounds:
+                assert sorted(kept[d]) == sorted(solver._first_checks([], -1, live, adjs, reds, d))
+                got = _ranks(solver._ranked(kept[d], exts, live, reds, d))
+                assert got == _ranks(_scored(ids, pos_adjs, pos_reds, d))
+                assert got == sorted((deg, uv) for uv, deg in want.items() if deg <= d)
+            ranked = solver._ranked(kept[n], exts, live, reds, n)
+            scored += len(ranked)
+            both += sum(1 for _, _, i, j, _ in ranked if reds[i] & reds[j])
+            a, b = rng.sample(ids, 2)
+            i, j = sorted((slot[a], slot[b]))
+            merged_red = next(m for _, _, p, q, m in ranked if (p, q) == (i, j))
+            touched = solver._merge(exts, live, adjs, reds, i, j, merged_red, x)
+            kept = {d: solver._first_checks(kept[d], touched, live, adjs, reds, d) for d in bounds}
+            t = contract(t, a, b, x)
+            slot.append(j)
     return scored, both
 
 
 class TestChildScores:
-    """The search scores a merge from its parents' quotient rows; each
-    score must equal the max red degree of the contracted trigraph."""
+    """A state inherits its parent's passing first checks away from the
+    slots a merge touched; with the rest checked afresh, every merge's score
+    must equal the max red degree of the contracted trigraph."""
 
     def test_scores_match_contract(self):
         rng = random.Random(2024)
@@ -294,9 +327,11 @@ class TestChildScores:
 
 
 class TestChildRows:
-    """`_child_rows` rebuilds every row with the position shifts inlined;
-    after each merge of a random path its rows must be those of the
-    `graphs.contract` trigraph, the merged part last."""
+    """`_merge` rewrites rows in place on stable slots: the product takes
+    the higher slot, and only the merged pair's rows and their neighbours'
+    change.  After each merge of a random path the rows must be those of
+    the `graphs.contract` trigraph, slot for slot, and the live slots must
+    follow certificate ids."""
 
     def test_rows_match_contract(self):
         rng = random.Random(1729)
@@ -306,14 +341,23 @@ class TestChildRows:
         for g in graphs:
             n = g.n
             t = trigraph_from_graph(g)
-            live, adjs, reds = list(range(n)), solver._singleton_rows(g), [0] * n
+            slot = list(range(n))
+            exts, live, adjs, reds = list(range(n)), list(range(n)), solver._singleton_rows(g), [0] * n
             for x in range(n, 2 * n - 1):
-                i, j = sorted(rng.sample(range(len(live)), 2))
-                merged_red = next(m for _, _, a, b, m in _scored(live, adjs, reds, n) if (a, b) == (i, j))
-                adjs, reds = _child_rows(adjs, reds, i, j, merged_red)
-                t = contract(t, live[i], live[j], x)
-                live = live[:i] + live[i + 1:j] + live[j + 1:] + [x]
-                assert (adjs, reds) == _trigraph_rows(t, live), sorted(g.edges)
+                i, j = sorted(rng.sample(live, 2))
+                pairs = solver._first_checks([], -1, live, adjs, reds, n)
+                merged_red = next(pair[4] for pair in pairs if pair[1:3] == (i, j))
+                a, b = exts[i], exts[j]
+                before = adjs[:], reds[:]
+                touched = solver._merge(exts, live, adjs, reds, i, j, merged_red, x)
+                t = contract(t, a, b, x)
+                slot.append(j)
+                assert (adjs, reds) == _slot_rows(t, slot, n), sorted(g.edges)
+                assert [exts[s] for s in live] == sorted(t.vertices)
+                assert touched == (before[0][i] | before[0][j] | 1 << i | 1 << j)
+                for w in range(n):
+                    if not touched >> w & 1:
+                        assert (adjs[w], reds[w]) == (before[0][w], before[1][w])
                 steps += 1
         assert steps > 500
 
@@ -368,6 +412,17 @@ class TestAgainstContractOracles:
             assert (None if s is None else list(s.pairs())) == naive_twin_pairs(g), sorted(g.edges)
         assert all(twinwidth_zero(g) is not None for g in cographs)
 
+    def test_greedy_matches_the_positional_kernel(self):
+        # the positional kernel scores every pair afresh; stable slots keep
+        # the passing pairs across steps until the bound rises
+        rng = random.Random(2029)
+        graphs = [random_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.6)) for _ in range(150)]
+        graphs += [random_tree(rng, rng.randint(1, 60)) for _ in range(30)]
+        graphs += [random_cograph(rng, rng.randint(1, 30)) for _ in range(30)]
+        for g in graphs:
+            for cap in (0, 1, 2, g.n):
+                assert solver._greedy(g, cap) == positional_greedy(g, cap), (cap, sorted(g.edges))
+
     def test_zero_is_greedy_capped_at_zero(self):
         rng = random.Random(2027)
         cographs = [random_cograph(rng, rng.randint(1, 30)) for _ in range(100)]
@@ -395,6 +450,15 @@ class TestHeuristicScale:
         got = [greedy_sequence(g) for g in graphs]
         assert time.perf_counter() - start < 1.0
         assert got == [(s, 0) for s in zero]
+
+    def test_greedy_on_a_400_vertex_random_tree(self):
+        # scoring every pair at every step took 1.8-3.8 s on a 2-core x86-64
+        # VM; inherited first checks take 0.4 s, with the same certificate
+        g = random_tree(random.Random(400), 400)
+        start = time.perf_counter()
+        s, w = greedy_sequence(g)
+        assert time.perf_counter() - start < 1.5
+        assert w == 6 and hashlib.sha256(repr(s.pairs()).encode()).hexdigest()[:16] == "65d093ec7ae5ad3e"
 
     def test_greedy_on_dense_random_150(self):
         g = random_graph(random.Random(150), 150, 0.3)
