@@ -18,15 +18,35 @@ order.  A merge rewrites only its pair's rows and their neighbours'.
 A merge of parts i, j is scored in two stages.  The merged part is black
 to w iff both are, unjoined iff neither is joined, else red, so its red
 row is (ai ^ aj) | ri | rj, and the first check is that row's size less
-i and j.  It reads rows i and j alone, and a merge leaves the rows of
-every slot it does not touch (the pair and their neighbours) as they
-were, so a child keeps its parent's passing pairs that avoid the touched
-slots and checks afresh only pairs with a touched endpoint.  The second
-stage reads the degree classes of all rows, each of which moves by +1,
-0 or -1, so it is redone for every passing pair.  Merges over the bound
-are pruned, the rest sorted; a child is built only when the walk asks
-for it and its partition is new, and the last child takes over its
-parent's lists.
+i and j.  Bits i and j of the row are both set exactly when i and j are
+joined, so the check passes d iff the row's size is at most d, or at
+most d + 2 for a joined pair.  Most pairs fail on one popcount and one
+comparison with d + 2; only a pass is masked and listed.  The check
+reads rows i and j alone, and a merge leaves the rows of every slot it
+does not touch (the pair and their neighbours) as they were, so a child
+keeps its parent's passing pairs that avoid the touched slots and checks
+afresh only pairs with a touched endpoint.  The second stage reads the
+degree classes of all rows, each of which moves by +1, 0 or -1, so it is
+redone for every passing pair.  Merges over the bound are pruned, the
+rest sorted; a child is built only when the walk asks for it and its
+partition is new, and the last child takes over its parent's lists.
+
+A child of the exact search checks fewer pairs still.  Let slots i < j
+merge into j, and let M be the merged row of two other live slots x, y.
+The merge changes the rows of x and y at bits i and j alone, so the
+check of {x, y} moves by c'j - ci - cj, where cs says whether s lies in
+M and c'j whether the product lies in M after the merge.  If x is red
+to i, x is red to the product.  If x is joined to i and y is not, then
+either y is unjoined to the product, which x is joined to, or y is
+joined to j alone and so red to it.  With the same for y and for j,
+c'j >= max(ci, cj), so a check falls by at most one, and only when i and
+j both lie in M: when y is in D_i(x) & D_j(x), where D_s(x) is every slot
+if x is red to s, and otherwise the slots whose join to s differs from
+x's, together with s's red row.  So a child checks the product against
+every live slot, and each other touched x against those slots and its
+kept passing partners, whose checks may move either way.  Greedy checks
+every pair with a touched endpoint: there this bookkeeping gained
+nothing.
 
 Both heuristics are one loop on the same rows, merged in place: greedy
 is the search's first branch at unbounded width, stepping the bound up
@@ -79,17 +99,84 @@ def _first_checks(kept: list[Pair], touched: int, live: list[int], adjs: list[in
     out = [pair for pair in kept if not pair[0] & touched]
     fresh = [i for i in live if touched >> i & 1]
     cands = fresh + [j for j in live if not touched >> j & 1]
+    joined_bound = d + 2
     for x, i in enumerate(fresh, 1):
-        ai, ri, bi = adjs[i], reds[i], 1 << i
+        ai, ri = adjs[i], reds[i]
         for j in cands[x:]:
             # red to the merged part: joined to exactly one of i, j, or red to
-            # either; bits i and j are both set iff i and j are joined
+            # either; bits i and j are both set iff i and j are joined, so a
+            # row of more than d + 2 fails whether or not they are
             merged = (ai ^ adjs[j]) | ri | reds[j]
-            check = merged.bit_count() - 2 * (ai >> j & 1)
-            if check <= d:
-                bits = bi | 1 << j
+            if (size := merged.bit_count()) <= joined_bound and (size <= d or ai >> j & 1):
+                bits = 1 << i | 1 << j
+                check = size - 2 * (ai >> j & 1)
                 merged &= ~bits
                 out.append((bits, i, j, check, merged) if i < j else (bits, j, i, check, merged))
+    return out
+
+
+def _reopened(adjs: list[int], reds: list[int], i: int, j: int) -> dict[int, int]:
+    """Before slots i, j merge: for each neighbour x of i or j, the slots y
+    with i and j both in the merged row of x and y, as a mask: the failing
+    pairs on x that the merge can let pass (see the module docstring)."""
+    ai, aj, ri, rj = adjs[i], adjs[j], reds[i], reds[j]
+    out = {}
+    m = (ai | aj) & ~(1 << i | 1 << j)
+    while m:
+        b = m & -m
+        m ^= b
+        # D_s(x): every slot if x is red to s, else the slots joined to s iff
+        # x is not, and s's red row
+        di = -1 if ri & b else ~ai | ri if ai & b else ai
+        dj = -1 if rj & b else ~aj | rj if aj & b else aj
+        out[b.bit_length() - 1] = di & dj
+    return out
+
+
+def _child_checks(kept: list[Pair], touched: int, partners: dict[int, int], j: int, livemask: int, live: list[int], adjs: list[int], reds: list[int], d: int) -> list[Pair]:
+    """`_first_checks` after a merge into slot j, given `_reopened`'s
+    partners, which it extends: the product is checked against every live
+    slot, and each other touched slot x only against its partners and the
+    other ends of its kept passing pairs."""
+    bj = 1 << j
+    gone = ~livemask | bj
+    out = []
+    for pair in kept:
+        bits = pair[0]
+        if not bits & touched:
+            out.append(pair)
+        elif not bits & gone:
+            a, b = pair[1], pair[2]
+            if a in partners:
+                partners[a] |= 1 << b
+            if b in partners:
+                partners[b] |= 1 << a
+    joined_bound = d + 2
+    rest = livemask & ~bj
+    for x, m in partners.items():
+        bx = 1 << x
+        rest &= ~bx  # x's pairs are all checked here, so later slots skip x
+        m &= rest
+        ax, rx = adjs[x], reds[x]
+        while m:
+            b = m & -m
+            m ^= b
+            y = b.bit_length() - 1
+            merged = (ax ^ adjs[y]) | rx | reds[y]
+            if (size := merged.bit_count()) <= joined_bound and (size <= d or ax >> y & 1):
+                bits = bx | b
+                check = size - 2 * (ax >> y & 1)
+                merged &= ~bits
+                out.append((bits, x, y, check, merged) if x < y else (bits, y, x, check, merged))
+    aj, rj = adjs[j], reds[j]
+    for y in live:
+        if y != j:
+            merged = (aj ^ adjs[y]) | rj | reds[y]
+            if (size := merged.bit_count()) <= joined_bound and (size <= d or aj >> y & 1):
+                bits = bj | 1 << y
+                check = size - 2 * (aj >> y & 1)
+                merged &= ~bits
+                out.append((bits, y, j, check, merged) if y < j else (bits, j, y, check, merged))
     return out
 
 
@@ -164,7 +251,7 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
     visited: set[tuple[int, ...]] = set()
 
     def children(state):
-        key, exts, live, adjs, reds, pairs = state
+        key, exts, live, adjs, reds, pairs, livemask = state
         scored = sorted(_ranked(pairs, exts, live, reds, d))
         ext = 2 * n - len(live)
         last = scored[-1][1] if scored else None
@@ -174,15 +261,17 @@ def decide_twinwidth_at_most(g: Graph, d: int, budget: int = DEFAULT_BUDGET) -> 
             child = (*key[:a], *key[a + 1:b], key[a] | key[b], *key[b + 1:])
             if child not in visited:
                 visited.add(child)
+                partners = _reopened(adjs, reds, i, j)
                 # the last child takes over the lists, which are never read again
                 rows = (exts, live, adjs, reds) if uv == last else (exts[:], live[:], adjs[:], reds[:])
                 touched = _merge(*rows, i, j, merged_red, ext)
-                yield uv, (child, *rows, _first_checks(pairs, touched, *rows[1:], d))
+                cmask = livemask & ~(1 << i)
+                yield uv, (child, *rows, _child_checks(pairs, touched, partners, j, cmask, *rows[1:], d), cmask)
 
     live, reds = list(range(n)), [0] * n
     # from a list: tuple() resizes a generator's tuple, which would add one
     # to CPython's free list of n-tuples per call, a list nothing drains
-    root = (tuple([1 << v for v in range(n)]), list(range(n)), live, adjs, reds, _first_checks([], -1, live, adjs, reds, d))
+    root = (tuple([1 << v for v in range(n)]), list(range(n)), live, adjs, reds, _first_checks([], -1, live, adjs, reds, d), (1 << n) - 1)
     steps, expanded = walk(root, n - 1, children, budget)
     if steps is not None:
         seq = sequence_from_pairs(n, steps)

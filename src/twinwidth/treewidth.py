@@ -2,14 +2,15 @@
 
 The solver walks elimination orderings depth-first on `search.walk`,
 each set of eliminated vertices expanded once, pruned by a
-degeneracy-style lower bound, a stuck-vertex count, and a greedy min-fill
-upper bound.  A state's fill rows give each live vertex's neighbours in
-the elimination graph, and eliminating v rewrites only the rows of v's
-fill neighbours, so a state costs O(n + k) word operations, and its
-last child takes over its rows.  The first candidate, in (fill degree,
-id) order, that is almost simplicial (its fill neighbours less one vertex
-form a clique) is the state's only branch, the rule of Bodlaender, Koster
-and van den Eijkhof (Comput. Intell. 2005).
+degeneracy-style lower bound, a greedy min-fill upper bound, and in each
+state by Dirac's two simplicial vertices (see `treewidth_order`).  A
+state's fill rows give each live vertex's neighbours in the elimination
+graph, and eliminating v rewrites only the rows of v's fill neighbours,
+so a state costs O(n + k) word operations, and its last child takes
+over its rows.  The first candidate, in (fill degree, id) order, that is
+almost simplicial (its fill neighbours less one vertex form a clique) is
+the state's only branch, the rule of Bodlaender, Koster and van den
+Eijkhof (Comput. Intell. 2005).
 `treewidth_exact` decides k upward from the contraction bound, so every
 NO raises the lower bound it reports; its one decomposition is rebuilt
 from the winning ordering and re-checked by the literal three-condition
@@ -256,11 +257,11 @@ def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | No
     visited: set[int] = set()
 
     def children(state):
-        elim, fill, deg, stuck = state
-        if stuck > k + 1:
-            return
+        elim, fill, deg = state
         # an eliminated vertex's degree is n > k, so it is never a candidate
         cands = sorted([v for v, d in enumerate(deg) if d <= k], key=deg.__getitem__)  # stable: ties by id
+        if len(cands) < 2:  # more than k + 1 vertices are live: see treewidth_order
+            return
         # an almost simplicial candidate is safe to eliminate first
         for v in cands:
             if _almost_simplicial(fill, v):
@@ -278,7 +279,6 @@ def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | No
             row = fill[v]
             cfill, cdeg = (fill, deg) if v == last else (fill[:], deg[:])
             cdeg[v] = n
-            cstuck = stuck
             m = row
             while m:
                 b = m & -m
@@ -286,15 +286,13 @@ def _subset_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | No
                 m ^= b
                 merged = (cfill[w] | row) & ~(b | vbit)
                 cfill[w] = merged
-                d = merged.bit_count()
-                cstuck += (d > k) - (cdeg[w] > k)
-                cdeg[w] = d
-            yield v, (child, cfill, cdeg, cstuck)
+                cdeg[w] = merged.bit_count()
+            yield v, (child, cfill, cdeg)
 
     fill = adjacency_rows(g)
     deg = [row.bit_count() for row in fill]
     limit = math.inf if budget is None else budget
-    order, expanded = walk((0, fill, deg, sum(d > k for d in deg)), n - k - 1, children, limit)
+    order, expanded = walk((0, fill, deg), n - k - 1, children, limit)
     if expanded > limit:
         raise BudgetExceeded(f"tree-width search exceeded {budget} states")
     if order is not None:  # once k + 1 vertices remain, any order finishes
@@ -314,15 +312,22 @@ def treewidth_order(g: Graph, k: int, budget: int | None = None) -> list[int] | 
     expanded once.  A state holds one fill row per vertex: for a live w,
     the live vertices reachable from w through eliminated ones, which are
     w's neighbours in the elimination graph, and w's fill degree is the
-    row's size.  More than k + 1 live vertices of fill degree above k end
-    the branch; otherwise the candidates of fill degree <= k are tried in
-    (fill degree, id) order.  If any of them is almost simplicial, the
-    first such is tried alone: eliminating it costs a bag of at most k + 1
-    vertices and leaves the minor that contracts it into the neighbour
-    outside the clique, so its child succeeds iff the state can.  The
-    decisions are those of the search that branches on every candidate,
-    and the orders may differ.  Eliminating v changes only the rows of v's
-    fill neighbours.  Once k + 1 vertices remain, any order finishes.
+    row's size.  The candidates, the live vertices of fill degree <= k,
+    are tried in (fill degree, id) order, and fewer than two end the
+    branch.  That cut is sound: an expanded state has more than k + 1
+    live vertices, so if their elimination graph H had tree-width <= k, a
+    chordal completion of H with cliques of at most k + 1 vertices would
+    not be complete, and would have two non-adjacent simplicial vertices
+    (Dirac, 1961), each of degree <= k there and so in H.  Counting the
+    live vertices of fill degree above k would not be sound: eliminating
+    a neighbour can lower a fill degree.  If any candidate is almost
+    simplicial, the first such is tried alone: eliminating it costs a bag
+    of at most k + 1 vertices and leaves the minor that contracts it into
+    the neighbour outside the clique, so its child succeeds iff the state
+    can.  The decisions are those of the search that branches on every
+    candidate, and the orders may differ.  Eliminating v changes only the
+    rows of v's fill neighbours.  Once k + 1 vertices remain, any order
+    finishes.
 
     May raise BudgetExceeded after `budget` expanded states.
     """

@@ -755,7 +755,6 @@ def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None
         if budget is not None and expanded > budget:
             raise BudgetExceeded(f"tree-width search exceeded {budget} states")
         cands = []
-        stuck = 0
         m = full & ~elim
         while m:
             b = m & -m
@@ -763,10 +762,8 @@ def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None
             fd = _naive_fill_degree(adj, elim, v)
             if fd <= k:
                 cands.append((fd, v))
-            else:
-                stuck += 1
             m ^= b
-        if stuck > k + 1:
+        if len(cands) < 2:
             return False
         cands.sort()
         # an almost simplicial candidate is safe to eliminate first
@@ -791,8 +788,9 @@ def naive_search(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None
 
 def naive_search_first_candidate(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """`naive_search` as it was when only the first candidate, in (fill
-    degree, id) order, was tested for almost-simpliciality.  Kept verbatim:
-    `_search` must reach its decisions in no more states."""
+    degree, id) order, was tested for almost-simpliciality.  Kept verbatim
+    but for `_search`'s sound cut, fewer than two candidates: `_search`
+    must reach its decisions in no more states."""
     n = g.n
     if n == 0:
         return [], 0
@@ -827,7 +825,6 @@ def naive_search_first_candidate(g: Graph, k: int, budget: int | None) -> tuple[
         if budget is not None and expanded > budget:
             raise BudgetExceeded(f"tree-width search exceeded {budget} states")
         cands = []
-        stuck = 0
         m = full & ~elim
         while m:
             b = m & -m
@@ -835,10 +832,8 @@ def naive_search_first_candidate(g: Graph, k: int, budget: int | None) -> tuple[
             fd = _naive_fill_degree(adj, elim, v)
             if fd <= k:
                 cands.append((fd, v))
-            else:
-                stuck += 1
             m ^= b
-        if stuck > k + 1:
+        if len(cands) < 2:
             return False
         cands.sort()
         # an almost simplicial first candidate is safe to eliminate first
@@ -862,7 +857,8 @@ def naive_search_first_candidate(g: Graph, k: int, budget: int | None) -> tuple[
 
 def naive_search_degree_one(g: Graph, k: int, budget: int | None) -> tuple[list[int] | None, int]:
     """`naive_search` as it was when only a fill-degree <= 1 (simplicial)
-    first candidate was branched on alone.  Kept verbatim: `_search` must
+    first candidate was branched on alone.  Kept verbatim but for
+    `_search`'s sound cut, fewer than two candidates: `_search` must
     return its orders and decisions, in no more states."""
     n = g.n
     if n == 0:
@@ -898,7 +894,6 @@ def naive_search_degree_one(g: Graph, k: int, budget: int | None) -> tuple[list[
         if budget is not None and expanded > budget:
             raise BudgetExceeded(f"tree-width search exceeded {budget} states")
         cands = []
-        stuck = 0
         m = full & ~elim
         while m:
             b = m & -m
@@ -906,10 +901,8 @@ def naive_search_degree_one(g: Graph, k: int, budget: int | None) -> tuple[list[
             fd = _naive_fill_degree(adj, elim, v)
             if fd <= k:
                 cands.append((fd, v))
-            else:
-                stuck += 1
             m ^= b
-        if stuck > k + 1:
+        if len(cands) < 2:
             return False
         cands.sort()
         # a fill-degree <= 1 vertex is simplicial; eliminating it first is safe

@@ -250,8 +250,8 @@ class TestTreewidthCli:
             g = random_sparse(rng, 18 + i % 6)
         f = tmp_path / "sparse.gr"
         f.write_text(write_dimacs(g))
-        assert main_treewidth([str(f), "--budget", "100"]) == 2
-        assert capsys.readouterr().out == "tw: unknown (bounds 6..7 after 133 states)\n"
+        assert main_treewidth([str(f), "--budget", "150"]) == 2
+        assert capsys.readouterr().out == "tw: unknown (bounds 6..7 after 266 states)\n"
 
     def test_budget_defaults_to_the_gate_constant(self, tmp_path, capsys, monkeypatch):
         # with no --budget the search was unbounded in time and memory

@@ -272,10 +272,11 @@ def _ranks(scored) -> list[tuple[int, tuple[int, int]]]:
 def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
     """Along one random merge path per graph, checks after every merge that
     the passing pairs a state inherits, plus its touched pairs checked
-    afresh, are those of a full first-check pass, and that they rank every
-    merge as the positional oracle `_scored` does and as the contracted
-    trigraph's max red degree, at d = 0-3 and unbounded.  Returns how many
-    merges were scored and in how many some row is red to both merged parts."""
+    afresh, are those of a full first-check pass, also when only the pairs
+    `_reopened` lists are checked afresh, and that they rank every merge as
+    the positional oracle `_scored` does and as the contracted trigraph's
+    max red degree, at d = 0-3 and unbounded.  Returns how many merges were
+    scored and in how many some row is red to both merged parts."""
     scored = both = 0
     for g in graphs:
         n = g.n
@@ -284,6 +285,7 @@ def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
         slot = list(range(n))
         exts, live, adjs, reds = list(range(n)), list(range(n)), solver._singleton_rows(g), [0] * n
         kept = {d: solver._first_checks([], -1, live, adjs, reds, d) for d in bounds}
+        by_partners, livemask = dict(kept), (1 << n) - 1
         for x in range(n, 2 * n - 1):
             ids = [exts[s] for s in live]
             assert ids == sorted(t.vertices)
@@ -291,6 +293,7 @@ def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
             want = {(a, b): max_red_degree(contract(t, a, b, x)) for a, b in combinations(ids, 2)}
             for d in bounds:
                 assert sorted(kept[d]) == sorted(solver._first_checks([], -1, live, adjs, reds, d))
+                assert sorted(by_partners[d]) == sorted(kept[d])
                 got = _ranks(solver._ranked(kept[d], exts, live, reds, d))
                 assert got == _ranks(_scored(ids, pos_adjs, pos_reds, d))
                 assert got == sorted((deg, uv) for uv, deg in want.items() if deg <= d)
@@ -300,8 +303,12 @@ def _scores_along_random_paths(rng: random.Random, graphs) -> tuple[int, int]:
             a, b = rng.sample(ids, 2)
             i, j = sorted((slot[a], slot[b]))
             merged_red = next(m for _, _, p, q, m in ranked if (p, q) == (i, j))
+            partners = solver._reopened(adjs, reds, i, j)
             touched = solver._merge(exts, live, adjs, reds, i, j, merged_red, x)
+            livemask &= ~(1 << i)
             kept = {d: solver._first_checks(kept[d], touched, live, adjs, reds, d) for d in bounds}
+            by_partners = {d: solver._child_checks(by_partners[d], touched, dict(partners), j, livemask, live, adjs, reds, d)
+                           for d in bounds}
             t = contract(t, a, b, x)
             slot.append(j)
     return scored, both

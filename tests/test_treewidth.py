@@ -21,6 +21,7 @@ from oracles import (
     oracle_treewidth,
 )
 from twinwidth.graphs import complete_graph, cycle_graph, graph_from_edges, grid_graph, path_graph
+from twinwidth.pipeline import pipeline_certify
 from twinwidth.treewidth import (
     BudgetExceeded,
     TreeDecomposition,
@@ -33,6 +34,7 @@ from twinwidth.treewidth import (
 )
 from twinwidth.treewidth import _almost_simplicial
 from twinwidth.treewidth import _search as search_with_states
+from twinwidth.treewidth import _subset_search
 
 
 class TestExact:
@@ -99,18 +101,68 @@ class TestExact:
             assert r.expanded == states and r.width == lb
 
     def test_budget_keeps_every_refuted_bound(self):
-        # the NO at k = 5 takes 33 states and the search at k = 6 takes 313;
+        # the NO at k = 5 takes 116 states and the search at k = 6 takes 372;
         # deciding downward from min-fill's 7 would spend the budget at k = 6
         # and could report only 5..7
         rng = random.Random(2318)
         for i in range(53):
             g = random_sparse(rng, 18 + i % 6)
         assert g.n == 22 and (minor_min_width(g), min_fill_order(g)[1]) == (5, 7)
-        assert search_with_states(g, 5, None) == (None, 33)
-        assert search_with_states(g, 6, None) == (None, 313)
-        r = treewidth_exact(g, budget=100)
-        assert (r.status, r.lb, r.ub, r.expanded) == ("unknown", 6, 7, 133)
+        assert search_with_states(g, 5, None) == (None, 116)
+        assert search_with_states(g, 6, None) == (None, 372)
+        r = treewidth_exact(g, budget=150)
+        assert (r.status, r.lb, r.ub, r.expanded) == ("unknown", 6, 7, 266)
         assert treewidth_exact(g).width == 7
+
+
+# Graphs that a cut counting the live vertices of fill degree above k
+# refuted at their tree-width: eliminating a neighbour can lower a fill degree.
+TWELVE_VERTICES = [(0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (0, 9), (0, 10), (0, 11), (1, 2), (1, 4), (1, 5),
+                   (1, 7), (1, 9), (1, 10), (2, 4), (2, 6), (2, 8), (2, 9), (3, 10), (4, 5), (4, 6), (4, 7),
+                   (5, 6), (5, 8), (5, 9), (6, 7), (6, 10), (6, 11), (7, 8), (7, 9), (9, 10), (9, 11), (10, 11)]
+# the benchmark's gated graph sparse8-n20-m32 at seed 1
+SPARSE8 = [(0, 1), (0, 2), (0, 4), (0, 6), (0, 16), (1, 5), (1, 6), (1, 13), (1, 19), (2, 3), (2, 7), (2, 10),
+           (3, 8), (3, 12), (3, 13), (3, 16), (5, 6), (5, 8), (5, 12), (5, 13), (6, 9), (6, 16), (8, 15),
+           (10, 11), (10, 19), (11, 18), (13, 14), (13, 15), (13, 17), (14, 17), (16, 18), (17, 18)]
+
+
+def _order_width(g, order) -> int:
+    report = verify_tree_decomposition(g, decomposition_from_order(g, order))
+    assert report.valid
+    return report.width
+
+
+class TestSoundGate:
+    """The subset search refutes k only when the tree-width exceeds k."""
+
+    def test_every_bound_against_the_exhaustive_recursion(self):
+        rng = random.Random(3030)
+        for _ in range(160):
+            n = rng.randint(4, 10)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.6))
+            tw = oracle_treewidth(g)
+            assert treewidth_exact(g).width == tw, sorted(g.edges)
+            for k in range(n - 1):
+                order, _ = _subset_search(g, k, None)
+                assert (order is not None) == (tw <= k), (k, sorted(g.edges))
+                if order is not None:
+                    assert _order_width(g, order) <= k, (k, sorted(g.edges))
+
+    def test_path(self):
+        order, _ = _subset_search(path_graph(5), 1, None)
+        assert order is not None and _order_width(path_graph(5), order) == 1
+
+    def test_twelve_vertices(self):
+        g = graph_from_edges(12, TWELVE_VERTICES)
+        assert _order_width(g, [2, 3, 5, 8, 4, 1, 0, 6, 7, 9, 10, 11]) == 5
+        assert treewidth_exact(g).width == 5 == oracle_treewidth(g)
+
+    def test_benchmark_graph_inside_the_gate(self):
+        g = graph_from_edges(20, SPARSE8)
+        assert _order_width(g, [4, 7, 9, 11, 12, 14, 15, 17, 19, 8, 2, 5, 10, 13, 1, 0, 3, 6, 16, 18]) == 4
+        assert treewidth_exact(g).width == 4
+        r = pipeline_certify(g, 2, 4)
+        assert (r.status, r.ktt) == ("not-applicable", ((1, 6), (0, 5)))
 
 
 def treewidth_decide(g, k, budget=None) -> bool:
@@ -377,11 +429,11 @@ class TestAgainstNaive:
             assert minor_min_width(g) == naive_minor_min_width(g), sorted(g.edges)
 
     def test_treewidth_order_small(self):
-        assert sum(_same_search(g, k) for g, k in _small_cases()) == 94
+        assert sum(_same_search(g, k) for g, k in _small_cases()) == 171
 
     def test_treewidth_order_sparse(self):
         states = [_same_search(g, k) for g, k in _sparse_cases()]
-        assert sum(states) == 3930
+        assert sum(states) == 7432
         assert states[-1] > 0  # the graph among isolated vertices
 
     @pytest.mark.parametrize("side", [3, 4, 5])
@@ -402,7 +454,7 @@ class TestAgainstNaive:
             walked += old_states
         assert walked > floor
 
-    @pytest.mark.parametrize("corpus, spared", [("small", 131), ("sparse", 7644), ("grids", 0)])
+    @pytest.mark.parametrize("corpus, spared", [("small", 174), ("sparse", 15078), ("grids", 0)])
     def test_treewidth_order_against_first_candidate_rule(self, corpus, spared):
         """Testing every candidate for almost-simpliciality, not only the
         first, keeps each decision of the search that tested the first, in
@@ -436,13 +488,14 @@ class TestScale:
     costs what it changes, not a rescan of the whole graph."""
 
     def test_grid5_search_cut_by_almost_simplicial_vertices(self):
-        # with the first candidate tried alone only at fill degree <= 1:
-        # 533,496 states per search, about 5 s for these two on a 2-core x86-64 VM
+        # with the first candidate tried alone only at fill degree <= 1 (and an
+        # unsound cut on the vertices of fill degree above k): 533,496 states
+        # per search, about 5 s for these two on a 2-core x86-64 VM
         start = time.perf_counter()
         assert treewidth_decide(grid_graph(5), 4) is False
-        assert search_with_states(grid_graph(5), 4, None) == (None, 22)
+        assert search_with_states(grid_graph(5), 4, None) == (None, 73)
         r = treewidth_exact(grid_graph(5))
-        assert r.width == 5 and r.expanded == 22
+        assert r.width == 5 and r.expanded == 73
         assert time.perf_counter() - start < 0.5
 
     def test_grid7_search_state_cost(self):
